@@ -175,7 +175,7 @@ func BenchmarkAblationBOvsRandom(b *testing.B) {
 			p, _ := makeProblem()
 			cfg := bayesopt.DefaultConfig()
 			cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 12, 28, 128
-			res, err := bayesopt.Optimize(p, cfg)
+			res, err := bayesopt.OptimizeContext(context.Background(), p, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -372,9 +372,49 @@ func BenchmarkHypervolume3D(b *testing.B) {
 		pts[i] = []float64{g.Float64(), g.Float64(), g.Float64()}
 	}
 	ref := []float64{1.5, 1.5, 1.5}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pareto.Hypervolume(pts, ref)
+	}
+}
+
+// BenchmarkAcquireIteration times one SMS-EGO iteration of the default
+// Phase 2 at about 60 observations: one shared GP fit, screening, and
+// scoring 1024 candidates on one worker. Objectives are evaluated before
+// the timer starts, so each op is 60 recorded initial samples (a hypervolume
+// each) plus the iteration itself.
+func BenchmarkAcquireIteration(b *testing.B) {
+	db := airlearning.NewDatabase()
+	airlearning.PopulateSurrogate(db)
+	space := dse.DefaultSpace()
+	cands := space.Sample(2048, 1)
+	ev := dse.NewEvaluator(db, airlearning.DenseObstacle, power.Default(), dse.WithTemplate(space.Template))
+	feats := make([][]float64, len(cands))
+	objs := make([][]float64, len(cands))
+	for i, d := range cands {
+		feats[i] = space.Features(d)
+		e, err := ev.Evaluate(d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		objs[i] = e.Objectives()
+	}
+	p := bayesopt.Problem{
+		Candidates:    feats,
+		Evaluate:      func(i int) []float64 { return objs[i] },
+		NumObjectives: 3,
+		Ref:           []float64{0, 30, 1},
+		Workers:       1,
+	}
+	cfg := bayesopt.DefaultConfig()
+	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 60, 1, 1024
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bayesopt.OptimizeContext(context.Background(), p, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -88,22 +89,42 @@ func (d *Database) All() []Record {
 }
 
 // Best returns the highest-success record for a scenario, which Phase 3
-// filters on before mapping designs to the F-1 model. Iteration runs over
-// the ID-sorted record list and replaces the incumbent only on strictly
-// higher success, so ties break toward the lexicographically smallest ID —
-// the result is stable however concurrently the database was populated.
+// filters on before mapping designs to the F-1 model. It picks what a scan
+// of the ID-sorted records would if it replaced the incumbent only on
+// strictly higher success: ties break toward the lexicographically smallest
+// ID, and a NaN success rate on the smallest ID wins outright (nothing
+// compares above it), so the result is stable however concurrently the
+// database was populated. One pass over the map finds it without sorting.
 func (d *Database) Best(s Scenario) (Record, bool) {
-	var best Record
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	var first, best Record
 	found := false
-	for _, r := range d.All() {
+	for _, r := range d.records {
 		if r.Scenario != s {
 			continue
 		}
-		if !found || r.SuccessRate > best.SuccessRate {
-			best, found = r, true
+		if !found || r.ID < first.ID {
+			first = r
 		}
+		if !found || beats(r, best) {
+			best = r
+		}
+		found = true
+	}
+	if math.IsNaN(first.SuccessRate) {
+		return first, found
 	}
 	return best, found
+}
+
+// beats orders records by success rate, NaN lowest, then by smallest ID.
+func beats(r, b Record) bool {
+	rn, bn := math.IsNaN(r.SuccessRate), math.IsNaN(b.SuccessRate)
+	if rn || bn {
+		return !rn || bn && r.ID < b.ID
+	}
+	return r.SuccessRate > b.SuccessRate || r.SuccessRate == b.SuccessRate && r.ID < b.ID
 }
 
 // Save writes the database as JSON. It is an alias for Snapshot: every

@@ -2,6 +2,8 @@ package airlearning
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -157,5 +159,37 @@ func TestBestDeterministicTieBreak(t *testing.T) {
 	want := Key(policy.Hyper{Layers: 2, Filters: 32}, LowObstacle)
 	if a.ID != fmt.Sprint(want) {
 		t.Fatalf("Best = %q, want smallest ID %q", a.ID, want)
+	}
+}
+
+// TestBestMatchesSortedScan pins Best against the ID-ordered scan it
+// replaced, on random databases with tied, NaN and ±0 success rates.
+func TestBestMatchesSortedScan(t *testing.T) {
+	scan := func(db *Database, s Scenario) (Record, bool) {
+		var best Record
+		found := false
+		for _, r := range db.All() {
+			if r.Scenario == s && (!found || r.SuccessRate > best.SuccessRate) {
+				best, found = r, true
+			}
+		}
+		return best, found
+	}
+	rates := []float64{0, math.Copysign(0, -1), 0.25, 0.5, 0.5, 0.75, math.NaN()}
+	rng := rand.New(rand.NewSource(1))
+	hypers := policy.AllHypers()
+	for trial := 0; trial < 500; trial++ {
+		db := NewDatabase()
+		for i, n := 0, rng.Intn(12); i < n; i++ {
+			db.Put(Record{Hyper: hypers[rng.Intn(len(hypers))], Scenario: Scenarios[rng.Intn(len(Scenarios))],
+				SuccessRate: rates[rng.Intn(len(rates))]})
+		}
+		for _, s := range Scenarios {
+			got, gok := db.Best(s)
+			want, wok := scan(db, s)
+			if gok != wok || got.ID != want.ID {
+				t.Fatalf("trial %d, %v: Best = %q (%v), sorted scan = %q (%v)", trial, s, got.ID, gok, want.ID, wok)
+			}
+		}
 	}
 }

@@ -15,7 +15,7 @@ func TestEvaluateBatchMatchesSequential(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 8, 12, 32
 
-	seq, err := Optimize(zdt1Grid(12), cfg)
+	seq, err := OptimizeContext(context.Background(), zdt1Grid(12), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestEvaluateBatchMatchesSequential(t *testing.T) {
 		}
 		return out
 	}
-	bat, err := Optimize(p, cfg)
+	bat, err := OptimizeContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestEvaluateBatchSizeMismatchRejected(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.InitSamples, cfg.Iterations = 4, 0
-	if _, err := Optimize(p, cfg); err == nil {
+	if _, err := OptimizeContext(context.Background(), p, cfg); err == nil {
 		t.Fatal("expected error for short batch result")
 	}
 }

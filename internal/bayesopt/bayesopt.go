@@ -1,10 +1,12 @@
 // Package bayesopt implements the paper's Phase-2 optimizer: multi-objective
 // Bayesian optimization over a discrete design space with the
 // S-Metric-Selection Efficient Global Optimization (SMS-EGO) acquisition
-// function (§III-B). One Gaussian process is fit per objective; candidates
-// are scored by the hypervolume contribution of their lower-confidence-bound
-// estimate over the current Pareto front, with a penalty for
-// epsilon-dominated candidates.
+// function (§III-B). One Gaussian process is fit per objective — all
+// objectives share one covariance factor — and candidates are scored by the
+// hypervolume contribution of their lower-confidence-bound estimate over the
+// current Pareto front, with a penalty for epsilon-dominated candidates.
+// Scoring fans out over Problem.Workers; the pick is bitwise independent of
+// the worker count.
 package bayesopt
 
 import (
@@ -15,6 +17,7 @@ import (
 	"autopilot/internal/gp"
 	"autopilot/internal/obs"
 	"autopilot/internal/pareto"
+	"autopilot/internal/pool"
 	"autopilot/internal/tensor"
 )
 
@@ -37,8 +40,13 @@ type Problem struct {
 	// NumObjectives is the length of every objective vector.
 	NumObjectives int
 	// Ref is the hypervolume reference point; every reachable objective
-	// vector should be component-wise below it.
+	// vector should be component-wise below it. It must be finite.
 	Ref []float64
+	// Workers is how many goroutines score the screened candidates of each
+	// model-guided iteration; values below 2 score sequentially. Every
+	// candidate's score depends on that candidate alone, so results are
+	// bitwise identical at any worker count.
+	Workers int
 }
 
 // Acquisition selects the candidate-scoring strategy. The paper uses
@@ -126,22 +134,24 @@ func (p Problem) validate() error {
 	if p.Evaluate == nil {
 		return fmt.Errorf("bayesopt: nil evaluator")
 	}
+	// The GP kernel compares candidates feature by feature.
+	for i, c := range p.Candidates {
+		if len(c) != len(p.Candidates[0]) {
+			return fmt.Errorf("bayesopt: candidate %d has %d features, want %d", i, len(c), len(p.Candidates[0]))
+		}
+	}
 	if p.NumObjectives <= 0 {
 		return fmt.Errorf("bayesopt: non-positive objective count")
 	}
 	if len(p.Ref) != p.NumObjectives {
 		return fmt.Errorf("bayesopt: ref dim %d, want %d", len(p.Ref), p.NumObjectives)
 	}
+	for j, r := range p.Ref {
+		if math.IsNaN(r) || math.IsInf(r, 0) {
+			return fmt.Errorf("bayesopt: ref[%d] is non-finite (%g)", j, r)
+		}
+	}
 	return nil
-}
-
-// Optimize runs SMS-EGO Bayesian optimization and returns the evaluated
-// designs, the final Pareto front and the hypervolume trace.
-//
-// Deprecated: use OptimizeContext, which supports cancellation. Optimize is
-// equivalent to OptimizeContext(context.Background(), p, cfg).
-func Optimize(p Problem, cfg Config) (*Result, error) {
-	return OptimizeContext(context.Background(), p, cfg)
 }
 
 // OptimizeContext runs SMS-EGO Bayesian optimization and returns the
@@ -165,6 +175,7 @@ func OptimizeContext(ctx context.Context, p Problem, cfg Config) (*Result, error
 	evaluated := map[int]bool{}
 	var objs [][]float64 // objective vectors of evaluated points
 	var feats [][]float64
+	var hv pareto.Scratch // trace and per-iteration base hypervolumes
 
 	// Instrumentation (from the caller's observer, if any): evaluation and
 	// iteration counters plus phase spans. All nil-safe no-ops when absent,
@@ -190,7 +201,7 @@ func OptimizeContext(ctx context.Context, p Problem, cfg Config) (*Result, error
 		objs = append(objs, y)
 		feats = append(feats, p.Candidates[i])
 		res.Evaluations = append(res.Evaluations, Evaluation{Index: i, Objectives: y})
-		res.HypervolumeTrace = append(res.HypervolumeTrace, pareto.Hypervolume(objs, p.Ref))
+		res.HypervolumeTrace = append(res.HypervolumeTrace, hv.Hypervolume(objs, p.Ref))
 	}
 
 	// Phase A: random initialization. The initial indices are fixed up front
@@ -234,13 +245,14 @@ func OptimizeContext(ctx context.Context, p Problem, cfg Config) (*Result, error
 
 	// Phase B: model-guided SMS-EGO iterations.
 	kernel := gp.SE{Variance: 1, LengthScale: cfg.LengthScale}
+	var scorers []scorer // one per scoring chunk, grown on demand
 	for len(res.Evaluations) < total {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("bayesopt: cancelled: %w", err)
 		}
 		it := obs.StartStep(ctx, "bo.iter", "bayesopt")
 		cIters.Inc()
-		models, scales, err := fitModels(feats, objs, p.NumObjectives, kernel, cfg.Noise)
+		model, scales, err := fitModel(feats, objs, kernel, cfg.Noise)
 		if err != nil {
 			it.End()
 			return nil, err
@@ -251,22 +263,28 @@ func OptimizeContext(ctx context.Context, p Problem, cfg Config) (*Result, error
 			it.End()
 			break
 		}
-		var weights []float64
-		var bestScalar float64
+		st := &state{model: model, n: len(feats), scales: scales, front: front, ref: p.Ref, gain: cfg.Gain, acq: cfg.Acquisition}
 		if cfg.Acquisition == AcqScalarizedEI {
-			weights, bestScalar = eiSetup(rng, objs, p.Ref, p.NumObjectives)
+			st.weights, st.bestScalar = eiSetup(rng, objs, p.Ref, p.NumObjectives)
+		} else {
+			st.base = hv.Hypervolume(front, p.Ref)
 		}
+		scores := make([]float64, len(pool))
+		if err := scoreAll(ctx, p.Workers, &scorers, st, p.Candidates, pool, scores); err != nil {
+			it.End()
+			return nil, fmt.Errorf("bayesopt: scoring: %w", err)
+		}
+		// A sequential argmax: ties go to the earliest pool position, however
+		// the scoring was split across workers.
 		best, bestScore := -1, math.Inf(-1)
-		for _, ci := range pool {
-			var score float64
-			if cfg.Acquisition == AcqScalarizedEI {
-				score = expectedImprovement(models, scales, p.Candidates[ci], weights, bestScalar, p.Ref)
-			} else {
-				score = acquisition(models, scales, p.Candidates[ci], front, p.Ref, cfg.Gain)
+		for k, ci := range pool {
+			if scores[k] > bestScore {
+				best, bestScore = ci, scores[k]
 			}
-			if score > bestScore {
-				best, bestScore = ci, score
-			}
+		}
+		if best < 0 {
+			it.End()
+			return nil, fmt.Errorf("bayesopt: none of %d screened candidates has a usable acquisition score (all NaN or -Inf)", len(pool))
 		}
 		record(best, p.Evaluate(best))
 		it.End()
@@ -280,12 +298,14 @@ func OptimizeContext(ctx context.Context, p Problem, cfg Config) (*Result, error
 	return res, nil
 }
 
-// fitModels fits one standardized-output GP per objective and returns the
-// models plus per-objective (mean, std) used to de-standardize predictions.
-func fitModels(feats [][]float64, objs [][]float64, m int, kernel gp.SE, noise float64) ([]*gp.GP, [][2]float64, error) {
-	models := make([]*gp.GP, m)
+// fitModel fits one GP with a standardized output per objective, all
+// sharing one covariance factor, and returns it with the per-objective
+// (mean, std) used to de-standardize predictions.
+func fitModel(feats [][]float64, objs [][]float64, kernel gp.SE, noise float64) (*gp.GP, [][2]float64, error) {
+	m := len(objs[0])
+	ys := make([][]float64, m)
 	scales := make([][2]float64, m)
-	for j := 0; j < m; j++ {
+	for j := range ys {
 		y := make([]float64, len(objs))
 		mean, sd := 0.0, 0.0
 		for i, o := range objs {
@@ -303,14 +323,14 @@ func fitModels(feats [][]float64, objs [][]float64, m int, kernel gp.SE, noise f
 		for i := range y {
 			y[i] = (y[i] - mean) / sd
 		}
-		g, err := gp.Fit(feats, y, kernel, noise+1e-9)
-		if err != nil {
-			return nil, nil, err
-		}
-		models[j] = g
+		ys[j] = y
 		scales[j] = [2]float64{mean, sd}
 	}
-	return models, scales, nil
+	g, err := gp.FitMulti(feats, ys, kernel, noise+1e-9)
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, scales, nil
 }
 
 // screen returns up to n unevaluated candidate indices sampled without
@@ -342,24 +362,87 @@ func screen(rng *tensor.RNG, total int, evaluated map[int]bool, n int) []int {
 	return out
 }
 
-// acquisition is the SMS-EGO score of a candidate: the hypervolume
-// contribution of its LCB estimate, with a dominance penalty when the LCB
-// point is epsilon-dominated by the current front.
-func acquisition(models []*gp.GP, scales [][2]float64, x []float64, front [][]float64, ref []float64, gain float64) float64 {
-	lcb := make([]float64, len(models))
-	for j, g := range models {
-		mu, v := g.Predict(x)
-		mu = mu*scales[j][1] + scales[j][0]
-		sd := math.Sqrt(v) * scales[j][1]
-		lcb[j] = mu - gain*sd
+// state is what every scorer reads, and none writes, during one
+// model-guided iteration.
+type state struct {
+	model  *gp.GP
+	n      int          // the model's training points
+	scales [][2]float64 // per-objective (mean, std) of the standardized outputs
+	front  [][]float64
+	ref    []float64
+	gain   float64
+	acq    Acquisition
+	base   float64 // SMS-EGO: Hypervolume(front, ref)
+	// scalarized EI: weight vector and best scalarized observation
+	weights    []float64
+	bestScalar float64
+}
+
+// scorer is one scoring worker's reusable working memory: once its buffers
+// have grown, scoring a candidate allocates nothing.
+type scorer struct {
+	means []float64   // per-objective posterior means
+	buf   []float64   // kernel vector, then forward solve
+	lcb   []float64   // per-objective lower confidence bound
+	pts   [][]float64 // the iteration's front followed by lcb
+	hv    pareto.Scratch
+}
+
+// scoreAll writes the score of candidate screened[k] to scores[k]. The
+// screened pool is cut into one contiguous chunk per worker (at most one per
+// candidate), each scored by its own scorer from *scorers on the bounded,
+// panic-isolating worker pool.
+func scoreAll(ctx context.Context, workers int, scorers *[]scorer, st *state, cands [][]float64, screened []int, scores []float64) error {
+	w := min(max(workers, 1), len(screened))
+	if len(*scorers) < w {
+		*scorers = append(*scorers, make([]scorer, w-len(*scorers))...)
+	}
+	chunks := make([]int, w)
+	for c := range chunks {
+		chunks[c] = c
+	}
+	ss := *scorers
+	return pool.ForEach(ctx, w, chunks, func(_ context.Context, c int) error {
+		s := &ss[c]
+		s.prepare(st)
+		for k := c * len(screened) / w; k < (c+1)*len(screened)/w; k++ {
+			scores[k] = s.score(st, cands[screened[k]])
+		}
+		return nil
+	})
+}
+
+// prepare sizes the buffers for st's model and front.
+func (s *scorer) prepare(st *state) {
+	if cap(s.buf) < st.n {
+		s.buf = make([]float64, st.n)
+	}
+	if s.lcb == nil {
+		s.means, s.lcb = make([]float64, len(st.scales)), make([]float64, len(st.scales))
+	}
+	s.pts = append(append(s.pts[:0], st.front...), s.lcb)
+}
+
+// score is the candidate's acquisition value. SMS-EGO scores the
+// hypervolume contribution of the LCB estimate, with a dominance penalty
+// when the LCB point is epsilon-dominated by the current front.
+func (s *scorer) score(st *state, x []float64) float64 {
+	variance := st.model.PredictInto(x, s.means, s.buf)
+	if st.acq == AcqScalarizedEI {
+		return expectedImprovement(s.means, variance, st.scales, st.weights, st.bestScalar, st.ref)
+	}
+	for j, mu := range s.means {
+		mu = mu*st.scales[j][1] + st.scales[j][0]
+		sd := math.Sqrt(variance) * st.scales[j][1]
+		s.lcb[j] = mu - st.gain*sd
 	}
 	// dominance penalty: distance by which the closest front point beats lcb
 	penalty := 0.0
-	for _, f := range front {
-		if pareto.WeaklyDominates(f, lcb) {
+	for _, f := range st.front {
+		if pareto.WeaklyDominates(f, s.lcb) {
 			slack := 0.0
 			for j := range f {
-				d := (lcb[j] - f[j]) / math.Max(math.Abs(ref[j]), 1e-9)
+				d := (s.lcb[j] - f[j]) / math.Max(math.Abs(st.ref[j]), 1e-9)
 				if d > slack {
 					slack = d
 				}
@@ -372,7 +455,7 @@ func acquisition(models []*gp.GP, scales [][2]float64, x []float64, front [][]fl
 	if penalty > 0 {
 		return -penalty
 	}
-	return pareto.Contribution(front, lcb, ref)
+	return s.hv.Hypervolume(s.pts, st.ref) - st.base
 }
 
 // eiSetup draws a random scalarization weight vector (normalized by the
@@ -406,11 +489,11 @@ func scalarize(w, y, ref []float64) float64 {
 
 // expectedImprovement is the classic single-objective EI applied to the
 // weighted scalarization of the per-objective GP posteriors (independence
-// assumed across objectives).
-func expectedImprovement(models []*gp.GP, scales [][2]float64, x, w []float64, best float64, ref []float64) float64 {
+// assumed across objectives), given their standardized means and shared
+// variance.
+func expectedImprovement(means []float64, v float64, scales [][2]float64, w []float64, best float64, ref []float64) float64 {
 	mu, varSum := 0.0, 0.0
-	for j, g := range models {
-		m, v := g.Predict(x)
+	for j, m := range means {
 		m = m*scales[j][1] + scales[j][0]
 		sd := math.Sqrt(v) * scales[j][1]
 		norm := math.Max(math.Abs(ref[j]), 1e-9)

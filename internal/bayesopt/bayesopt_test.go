@@ -1,6 +1,7 @@
 package bayesopt
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -27,17 +28,22 @@ func zdt1Grid(n int) Problem {
 
 func TestOptimizeValidation(t *testing.T) {
 	p := zdt1Grid(5)
-	if _, err := Optimize(Problem{}, DefaultConfig()); err == nil {
+	if _, err := OptimizeContext(context.Background(), Problem{}, DefaultConfig()); err == nil {
 		t.Error("expected error for empty problem")
 	}
 	bad := p
 	bad.Ref = []float64{1}
-	if _, err := Optimize(bad, DefaultConfig()); err == nil {
+	if _, err := OptimizeContext(context.Background(), bad, DefaultConfig()); err == nil {
 		t.Error("expected error for ref dim mismatch")
+	}
+	ragged := p
+	ragged.Candidates = append([][]float64{{0}}, p.Candidates[1:]...)
+	if _, err := OptimizeContext(context.Background(), ragged, DefaultConfig()); err == nil {
+		t.Error("expected error for candidates of unequal feature length")
 	}
 	cfg := DefaultConfig()
 	cfg.InitSamples = 0
-	if _, err := Optimize(p, cfg); err == nil {
+	if _, err := OptimizeContext(context.Background(), p, cfg); err == nil {
 		t.Error("expected error for zero init samples")
 	}
 }
@@ -52,7 +58,7 @@ func TestOptimizeEvaluatesEachCandidateOnce(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 8, 12, 16
-	res, err := Optimize(p, cfg)
+	res, err := OptimizeContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +76,7 @@ func TestOptimizeBudgetCappedBySpace(t *testing.T) {
 	p := zdt1Grid(3) // 9 candidates
 	cfg := DefaultConfig()
 	cfg.InitSamples, cfg.Iterations = 5, 50
-	res, err := Optimize(p, cfg)
+	res, err := OptimizeContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +89,7 @@ func TestHypervolumeTraceMonotone(t *testing.T) {
 	p := zdt1Grid(8)
 	cfg := DefaultConfig()
 	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 6, 20, 32
-	res, err := Optimize(p, cfg)
+	res, err := OptimizeContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +105,7 @@ func TestFrontIsNonDominatedAndOnTrueFront(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 10, 40, 64
 	cfg.Seed = 3
-	res, err := Optimize(p, cfg)
+	res, err := OptimizeContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +152,7 @@ func TestBOBeatsRandomSearchOnBudget(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 10, budget-10, 128
 	cfg.Seed = 7
-	bo, err := Optimize(p, cfg)
+	bo, err := OptimizeContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +194,11 @@ func TestOptimizeDeterministicForSeed(t *testing.T) {
 	p := zdt1Grid(8)
 	cfg := DefaultConfig()
 	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 6, 10, 32
-	a, err := Optimize(p, cfg)
+	a, err := OptimizeContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Optimize(zdt1Grid(8), cfg)
+	b, err := OptimizeContext(context.Background(), zdt1Grid(8), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +224,7 @@ func TestAcquisitionPrefersNonDominatedRegion(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.InitSamples, cfg.Iterations = 2, 1
-	if _, err := Optimize(p, cfg); err != nil {
+	if _, err := OptimizeContext(context.Background(), p, cfg); err != nil {
 		t.Fatalf("constant objectives: %v", err)
 	}
 }
@@ -240,7 +246,7 @@ func TestOptimizeSingleObjectiveFindsMinimum(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 5, 15, 50
-	res, err := Optimize(p, cfg)
+	res, err := OptimizeContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +272,7 @@ func TestScalarizedEIOptimizes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Acquisition = AcqScalarizedEI
 	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 8, 24, 64
-	res, err := Optimize(p, cfg)
+	res, err := OptimizeContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

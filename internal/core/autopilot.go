@@ -505,29 +505,55 @@ func FineTune(spec Spec, sel Selection, model f1.Model) (Selection, error) {
 // full-system path as searched designs; its flown weight hint replaces the
 // thermal-model payload.
 func EvaluateBaseline(spec Spec, db *airlearning.Database, b uav.ComputeBaseline) Selection {
-	model := f1.ForScenario(spec.Scenario)
-	success := 0.0
-	wl := hw.Workload{Name: b.Name + "/no-model", Kind: hw.WorkloadNetwork}
-	if rec, ok := db.Best(spec.Scenario); ok {
-		success = rec.SuccessRate
-		if net, err := policy.Build(rec.Hyper, spec.Space.Template); err == nil {
-			wl = hw.NetworkWorkload(rec.Hyper.String(), net)
+	return bestModel(spec, db).on(spec, b)
+}
+
+// EvaluateBaselines scores every baseline board, returning selections in
+// the same order as the input slice. The boards share one lookup and build
+// of the best model, after which a board takes microseconds, so they run in
+// a loop rather than on the worker pool. It fails only on cancellation.
+func EvaluateBaselines(ctx context.Context, spec Spec, db *airlearning.Database, baselines []uav.ComputeBaseline) ([]Selection, error) {
+	m := bestModel(spec, db)
+	out := make([]Selection, len(baselines))
+	for i, b := range baselines {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("core: cancelled: %w", err)
 		}
+		out[i] = m.on(spec, b)
+	}
+	return out, nil
+}
+
+// baselineModel is what every baseline board carries: the scenario's best
+// E2E model as a workload, with its success rate.
+type baselineModel struct {
+	wl      hw.Workload
+	built   bool // false when there is no model, or it failed to build
+	success float64
+}
+
+func bestModel(spec Spec, db *airlearning.Database) baselineModel {
+	var m baselineModel
+	if rec, ok := db.Best(spec.Scenario); ok {
+		m.success = rec.SuccessRate
+		if net, err := policy.Build(rec.Hyper, spec.Space.Template); err == nil {
+			m.wl, m.built = hw.NetworkWorkload(rec.Hyper.String(), net), true
+		}
+	}
+	return m
+}
+
+// on evaluates board b carrying the model.
+func (m baselineModel) on(spec Spec, b uav.ComputeBaseline) Selection {
+	wl := m.wl
+	if !m.built {
+		wl = hw.Workload{Name: b.Name + "/no-model", Kind: hw.WorkloadNetwork}
 	}
 	est, err := hw.BoardBackend{Board: b}.Estimate(wl)
 	if err != nil {
 		return Selection{NodeNM: 28, PayloadG: b.WeightG}
 	}
-	return EvaluateEstimate(spec, est, success, model)
-}
-
-// EvaluateBaselines scores every baseline board concurrently on the spec's
-// worker pool, returning selections in the same order as the input slice.
-func EvaluateBaselines(ctx context.Context, spec Spec, db *airlearning.Database, baselines []uav.ComputeBaseline) ([]Selection, error) {
-	return pool.Map(ctx, spec.Workers, baselines,
-		func(_ context.Context, b uav.ComputeBaseline) (Selection, error) {
-			return EvaluateBaseline(spec, db, b), nil
-		})
+	return EvaluateEstimate(spec, est, m.success, f1.ForScenario(spec.Scenario))
 }
 
 // MissionGain returns how many times more missions `a` achieves than `b`,

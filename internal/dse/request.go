@@ -233,6 +233,8 @@ func Execute(ctx context.Context, req Request) (*Result, error) {
 			return ys
 		},
 		NumObjectives: 3,
+		// the acquisition scores candidates on the evaluator's workers
+		Workers: ev.Workers(),
 		// ref: success can only improve hypervolume down to -1; power tops
 		// out near the biggest SoC; runtime near the slowest design. In a
 		// vehicle space the power objective is the full-vehicle draw (rotors

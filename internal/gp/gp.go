@@ -34,13 +34,16 @@ func (k SE) Eval(a, b []float64) float64 {
 	return k.Variance * math.Exp(-0.5*s)
 }
 
-// GP is a fitted Gaussian-process posterior.
+// GP is a fitted Gaussian-process posterior over one or more outputs that
+// share training inputs, kernel and noise. They then share the covariance,
+// its Cholesky factor, the kernel vector at a query and the forward solve
+// for the variance; only alpha differs per output.
 type GP struct {
 	kernel Kernel
 	noise  float64
 	x      [][]float64
 	l      [][]float64 // Cholesky factor of K + noise·I
-	alpha  []float64   // (K + noise·I)⁻¹ y
+	alpha  [][]float64 // alpha[j] = (K + noise·I)⁻¹ y_j
 }
 
 // jitterSchedule holds the escalating diagonal jitter magnitudes tried when
@@ -54,21 +57,31 @@ var jitterSchedule = []float64{1e-10, 1e-8, 1e-6, 1e-4}
 // noise variance added to the kernel diagonal; it must be positive to keep
 // the system well conditioned. Targets must be finite. If the covariance is
 // numerically indefinite (near-duplicate inputs, extreme length scales), Fit
-// escalates through a small diagonal-jitter schedule before giving up.
+// escalates through a small diagonal-jitter schedule before giving up. Fit
+// is FitMulti with one output.
 func Fit(x [][]float64, y []float64, kernel Kernel, noise float64) (*GP, error) {
+	return FitMulti(x, [][]float64{y}, kernel, noise)
+}
+
+// FitMulti conditions one GP per target vector ys[j] on the shared inputs X,
+// factoring the covariance once. Each output's posterior is bitwise
+// identical to Fit(x, ys[j], kernel, noise).
+func FitMulti(x [][]float64, ys [][]float64, kernel Kernel, noise float64) (*GP, error) {
 	n := len(x)
 	if n == 0 {
 		return nil, fmt.Errorf("gp: no training points")
 	}
-	if len(y) != n {
-		return nil, fmt.Errorf("gp: %d inputs but %d targets", n, len(y))
-	}
 	if noise <= 0 {
 		return nil, fmt.Errorf("gp: noise variance must be positive, got %g", noise)
 	}
-	for i, yi := range y {
-		if math.IsNaN(yi) || math.IsInf(yi, 0) {
-			return nil, fmt.Errorf("gp: target %d is non-finite (%g)", i, yi)
+	for _, y := range ys {
+		if len(y) != n {
+			return nil, fmt.Errorf("gp: %d inputs but %d targets", n, len(y))
+		}
+		for i, yi := range y {
+			if math.IsNaN(yi) || math.IsInf(yi, 0) {
+				return nil, fmt.Errorf("gp: target %d is non-finite (%g)", i, yi)
+			}
 		}
 	}
 	k := make([][]float64, n)
@@ -98,7 +111,10 @@ func Fit(x [][]float64, y []float64, kernel Kernel, noise float64) (*GP, error) 
 	if err != nil {
 		return nil, fmt.Errorf("gp: covariance not positive definite: %w", err)
 	}
-	alpha := SolveCholesky(l, y)
+	alpha := make([][]float64, len(ys))
+	for j, y := range ys {
+		alpha[j] = SolveCholesky(l, y)
+	}
 	xs := make([][]float64, n)
 	for i, xi := range x {
 		xs[i] = append([]float64(nil), xi...)
@@ -106,32 +122,48 @@ func Fit(x [][]float64, y []float64, kernel Kernel, noise float64) (*GP, error) 
 	return &GP{kernel: kernel, noise: noise, x: xs, l: l, alpha: alpha}, nil
 }
 
-// Predict returns the posterior mean and variance at a query point. The
-// variance is the latent-function variance (it excludes observation noise)
-// and is clamped at zero against round-off.
+// Predict returns the posterior mean and variance of a single-output GP at
+// a query point. The variance is the latent-function variance (it excludes
+// observation noise) and is clamped at zero against round-off.
 func (g *GP) Predict(q []float64) (mean, variance float64) {
-	n := len(g.x)
-	ks := make([]float64, n)
+	var m [1]float64
+	variance = g.PredictInto(q, m[:], make([]float64, len(g.x)))
+	return m[0], variance
+}
+
+// PredictInto writes every output's posterior mean at q into means (one
+// per output) and returns the shared latent variance, clamped at zero. buf
+// is caller-owned scratch of at least one float per training point, so a
+// caller that reuses means and buf predicts without allocating.
+func (g *GP) PredictInto(q []float64, means, buf []float64) (variance float64) {
+	if len(means) != len(g.alpha) {
+		panic(fmt.Sprintf("gp: %d means for %d outputs", len(means), len(g.alpha)))
+	}
+	ks := buf[:len(g.x)]
 	for i := range ks {
 		ks[i] = g.kernel.Eval(g.x[i], q)
 	}
-	for i := range ks {
-		mean += ks[i] * g.alpha[i]
+	for j, alpha := range g.alpha {
+		mean := 0.0
+		for i := range ks {
+			mean += ks[i] * alpha[i]
+		}
+		means[j] = mean
 	}
-	v := forwardSolve(g.l, ks)
+	forwardSolve(g.l, ks)
 	variance = g.kernel.Eval(q, q)
-	for _, vi := range v {
+	for _, vi := range ks {
 		variance -= vi * vi
 	}
 	if variance < 0 {
 		variance = 0
 	}
-	return mean, variance
+	return variance
 }
 
-// LogMarginalLikelihood returns the GP's log marginal likelihood
-// log p(y | X, θ) = -½ yᵀα - Σ log Lᵢᵢ - (n/2) log 2π, used to select
-// kernel hyper-parameters.
+// LogMarginalLikelihood returns a single-output GP's log marginal
+// likelihood log p(y | X, θ) = -½ yᵀα - Σ log Lᵢᵢ - (n/2) log 2π, used to
+// select kernel hyper-parameters.
 func (g *GP) LogMarginalLikelihood(y []float64) float64 {
 	n := len(g.x)
 	if len(y) != n {
@@ -139,7 +171,7 @@ func (g *GP) LogMarginalLikelihood(y []float64) float64 {
 	}
 	ll := 0.0
 	for i := range y {
-		ll -= 0.5 * y[i] * g.alpha[i]
+		ll -= 0.5 * y[i] * g.alpha[0][i]
 	}
 	for i := 0; i < n; i++ {
 		ll -= math.Log(g.l[i][i])
@@ -204,21 +236,20 @@ func Cholesky(a [][]float64) ([][]float64, error) {
 
 // SolveCholesky solves (L·Lᵀ)·x = b given the Cholesky factor L.
 func SolveCholesky(l [][]float64, b []float64) []float64 {
-	y := forwardSolve(l, b)
+	y := append([]float64(nil), b...)
+	forwardSolve(l, y)
 	return backSolve(l, y)
 }
 
-func forwardSolve(l [][]float64, b []float64) []float64 {
-	n := len(b)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for j := 0; j < i; j++ {
-			s -= l[i][j] * y[j]
+// forwardSolve overwrites b with the solution y of L·y = b.
+func forwardSolve(l [][]float64, b []float64) {
+	for i := range b {
+		row, s := l[i][:i+1], b[i]
+		for j, y := range b[:i] {
+			s -= row[j] * y
 		}
-		y[i] = s / l[i][i]
+		b[i] = s / row[i]
 	}
-	return y
 }
 
 func backSolve(l [][]float64, y []float64) []float64 {

@@ -258,3 +258,78 @@ func TestLogMarginalLikelihoodLengthMismatchPanics(t *testing.T) {
 	}()
 	g.LogMarginalLikelihood(y[:3])
 }
+
+// TestFitMultiMatchesFitBitwise pins the shared factor: every output of one
+// FitMulti must predict exactly what a separate Fit on that output does,
+// both on a well-conditioned fit and on one rescued by jitter.
+func TestFitMultiMatchesFitBitwise(t *testing.T) {
+	g := tensor.NewRNG(4)
+	k := SE{Variance: 1, LengthScale: 0.4}
+	random := make([][]float64, 30)
+	for i := range random {
+		random[i] = []float64{g.Float64(), g.Float64(), g.Float64()}
+	}
+	singular := [][]float64{{1, 1, 1}, {1, 1, 1}, {1, 1, 1}, {0, 0, 0}}
+	for _, tc := range []struct {
+		name  string
+		x     [][]float64
+		noise float64
+	}{{"well-conditioned", random, 1e-6}, {"jittered", singular, 1e-18}} {
+		ys := make([][]float64, 3)
+		for j := range ys {
+			ys[j] = make([]float64, len(tc.x))
+			for i := range ys[j] {
+				ys[j][i] = g.NormFloat64()
+			}
+		}
+		multi, err := FitMulti(tc.x, ys, k, tc.noise)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		means, buf := make([]float64, len(ys)), make([]float64, len(tc.x))
+		for trial := 0; trial < 20; trial++ {
+			q := []float64{g.Float64(), g.Float64(), g.Float64()}
+			v := multi.PredictInto(q, means, buf)
+			for j, y := range ys {
+				single, err := Fit(tc.x, y, k, tc.noise)
+				if err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				m1, v1 := single.Predict(q)
+				if means[j] != m1 || v != v1 {
+					t.Fatalf("%s output %d at %v: multi (%x, %x), single (%x, %x)", tc.name, j, q, means[j], v, m1, v1)
+				}
+			}
+		}
+	}
+}
+
+func TestPredictIntoAllocationFree(t *testing.T) {
+	g, x, _ := trainGP(t)
+	means, buf := make([]float64, 1), make([]float64, len(x))
+	q := []float64{0.3}
+	if allocs := testing.AllocsPerRun(20, func() { g.PredictInto(q, means, buf) }); allocs != 0 {
+		t.Fatalf("PredictInto allocated %v times per call", allocs)
+	}
+}
+
+func TestPredictIntoOutputCountMismatchPanics(t *testing.T) {
+	g, x, _ := trainGP(t)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	g.PredictInto([]float64{0.3}, make([]float64, 2), make([]float64, len(x)))
+}
+
+func TestFitMultiErrors(t *testing.T) {
+	k := SE{Variance: 1, LengthScale: 1}
+	x := [][]float64{{0}, {1}}
+	if _, err := FitMulti(x, [][]float64{{0, 1}, {0}}, k, 1e-6); err == nil {
+		t.Fatal("expected error for a short second output")
+	}
+	if _, err := FitMulti(x, [][]float64{{0, 1}, {0, math.NaN()}}, k, 1e-6); err == nil {
+		t.Fatal("expected error for a non-finite second output")
+	}
+}

@@ -195,25 +195,205 @@ func TestHypervolumeBoundedByRefBox(t *testing.T) {
 	}
 }
 
+// contribution is the increase in hypervolume from adding p to points —
+// the quantity SMS-EGO maximizes — as the Hypervolume difference the
+// optimizer takes.
+func contribution(points [][]float64, p, ref []float64) float64 {
+	return Hypervolume(append(append([][]float64{}, points...), p), ref) - Hypervolume(points, ref)
+}
+
 func TestContribution(t *testing.T) {
 	pts := [][]float64{{1, 3}, {3, 1}}
 	ref := []float64{4, 4}
 	// (2,2) adds the box [2,3]×[2,3] → 1
-	c := Contribution(pts, []float64{2, 2}, ref)
+	c := contribution(pts, []float64{2, 2}, ref)
 	if math.Abs(c-1) > 1e-12 {
 		t.Fatalf("contribution = %g, want 1", c)
 	}
 	// a dominated point contributes nothing
-	if c := Contribution(pts, []float64{3.9, 3.9}, ref); math.Abs(c) > 1e-12 {
+	if c := contribution(pts, []float64{3.9, 3.9}, ref); math.Abs(c) > 1e-12 {
 		t.Fatalf("dominated contribution = %g, want 0", c)
 	}
 }
 
 func TestContributionDoesNotMutateInput(t *testing.T) {
 	pts := [][]float64{{1, 3}, {3, 1}}
-	Contribution(pts, []float64{2, 2}, []float64{4, 4})
-	if len(pts) != 2 {
-		t.Fatal("input slice length changed")
+	var s Scratch
+	s.Hypervolume(append(pts[:len(pts):len(pts)], []float64{2, 2}), []float64{4, 4})
+	if len(pts) != 2 || pts[0][0] != 1 || pts[0][1] != 3 || pts[1][0] != 3 || pts[1][1] != 1 {
+		t.Fatalf("input changed: %v", pts)
+	}
+}
+
+// refHypervolume is the recursive, allocating WFG the flat Scratch kernel
+// replaced, kept verbatim as its bitwise oracle: clip to the ref box, Filter,
+// then sum exclusive volumes in order.
+func refHypervolume(points [][]float64, ref []float64) float64 {
+	var clipped [][]float64
+	for _, p := range points {
+		inside := true
+		for i := range p {
+			if p[i] >= ref[i] {
+				inside = false
+				break
+			}
+		}
+		if inside {
+			clipped = append(clipped, p)
+		}
+	}
+	return refWFG(Filter(clipped), ref)
+}
+
+func refWFG(front [][]float64, ref []float64) float64 {
+	total := 0.0
+	for i, p := range front {
+		total += refExclusive(p, front[i+1:], ref)
+	}
+	return total
+}
+
+func refExclusive(p []float64, rest [][]float64, ref []float64) float64 {
+	return inclusive(p, ref) - refWFG(Filter(refLimitSet(rest, p)), ref)
+}
+
+func refLimitSet(s [][]float64, p []float64) [][]float64 {
+	out := make([][]float64, len(s))
+	for i, q := range s {
+		m := make([]float64, len(q))
+		for j := range q {
+			if q[j] > p[j] {
+				m[j] = q[j]
+			} else {
+				m[j] = p[j]
+			}
+		}
+		out[i] = m
+	}
+	return out
+}
+
+// randomFront draws n points in d dimensions around the unit box: values on
+// a coarse lattice (so ties and exact duplicates are common) mixed with
+// continuous ones, some on or beyond the reference point.
+func randomFront(g *tensor.RNG, n, d int, ref []float64) [][]float64 {
+	pts := make([][]float64, n)
+	for i := range pts {
+		if i > 0 && g.Intn(6) == 0 {
+			pts[i] = append([]float64(nil), pts[g.Intn(i)]...) // duplicate
+			continue
+		}
+		p := make([]float64, d)
+		for j := range p {
+			switch g.Intn(8) {
+			case 0:
+				p[j] = ref[j] // on the ref
+			case 1:
+				p[j] = ref[j] + g.Float64() // beyond it
+			case 2, 3, 4:
+				p[j] = float64(g.Intn(5)) / 4 // lattice: ties
+			default:
+				p[j] = g.Float64()
+			}
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
+func TestHypervolumeMatchesRecursiveWFGBitwise(t *testing.T) {
+	g := tensor.NewRNG(11)
+	var s Scratch // reused across cases, as the optimizer reuses it
+	for d := 1; d <= 4; d++ {
+		ref := make([]float64, d)
+		for j := range ref {
+			ref[j] = 1
+		}
+		for trial := 0; trial < 150; trial++ {
+			pts := randomFront(g, g.Intn(13), d, ref)
+			want := refHypervolume(pts, ref)
+			if got := Hypervolume(pts, ref); got != want {
+				t.Fatalf("d=%d trial %d: Hypervolume = %x, reference WFG = %x\n%v", d, trial, got, want, pts)
+			}
+			if got := s.Hypervolume(pts, ref); got != want {
+				t.Fatalf("d=%d trial %d: reused Scratch = %x, reference WFG = %x\n%v", d, trial, got, want, pts)
+			}
+		}
+	}
+}
+
+// gridHypervolume counts, by brute force, the unit cells of the integer box
+// [0, ref) that some point weakly dominates: the exact hypervolume of an
+// integer point set.
+func gridHypervolume(points [][]int, ref []int) float64 {
+	d := len(ref)
+	cell := make([]int, d)
+	count := 0
+	for {
+		for _, p := range points {
+			covered := true
+			for j := range p {
+				if p[j] > cell[j] {
+					covered = false
+					break
+				}
+			}
+			if covered {
+				count++
+				break
+			}
+		}
+		j := 0
+		for ; j < d; j++ {
+			if cell[j]++; cell[j] < ref[j] {
+				break
+			}
+			cell[j] = 0
+		}
+		if j == d {
+			return float64(count)
+		}
+	}
+}
+
+func TestHypervolumeMatchesGridCount(t *testing.T) {
+	g := tensor.NewRNG(12)
+	for d := 1; d <= 4; d++ {
+		side := 6 - d // keep the grid small: side^d cells
+		ref := make([]int, d)
+		fref := make([]float64, d)
+		for j := range ref {
+			ref[j] = side
+			fref[j] = float64(side)
+		}
+		for trial := 0; trial < 100; trial++ {
+			n := g.Intn(9)
+			pts := make([][]int, n)
+			fpts := make([][]float64, n)
+			for i := range pts {
+				pts[i] = make([]int, d)
+				fpts[i] = make([]float64, d)
+				for j := range pts[i] {
+					pts[i][j] = g.Intn(side + 2) // some on or beyond the ref
+					fpts[i][j] = float64(pts[i][j])
+				}
+			}
+			want := gridHypervolume(pts, ref)
+			if got := Hypervolume(fpts, fref); got != want {
+				t.Fatalf("d=%d trial %d: Hypervolume = %g, grid count = %g\n%v", d, trial, got, want, pts)
+			}
+		}
+	}
+}
+
+func TestScratchHypervolumeAllocationFree(t *testing.T) {
+	g := tensor.NewRNG(13)
+	ref := []float64{1, 1, 1}
+	pts := randomFront(g, 30, 3, ref)
+	var s Scratch
+	s.Hypervolume(pts, ref) // warm the buffers
+	if allocs := testing.AllocsPerRun(20, func() { s.Hypervolume(pts, ref) }); allocs != 0 {
+		t.Fatalf("warm Scratch.Hypervolume allocated %v times per call", allocs)
 	}
 }
 
