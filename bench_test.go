@@ -13,6 +13,7 @@ package autopilot
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"autopilot/internal/airlearning"
@@ -426,6 +427,7 @@ func BenchmarkPolicyForward(b *testing.B) {
 	}
 	img := g.Randn(1, 1, 11, 11)
 	st := g.Randn(1, 4)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Forward(img, st)
@@ -493,6 +495,40 @@ func BenchmarkDQNTrainingStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		agent.Train(env, 1)
+	}
+}
+
+// BenchmarkDQNUpdate times one minibatch-16 Q-learning update of the L4F48
+// template. With LearnStart and UpdateEvery at 1 every Observe runs exactly
+// one update, and a target sync period beyond any run keeps the timed loop
+// to the update alone; after the warm-up it should allocate nothing.
+func BenchmarkDQNUpdate(b *testing.B) {
+	g := tensor.NewRNG(4)
+	h := policy.Hyper{Layers: 4, Filters: 48}
+	online, _ := policy.NewTrainable(h, policy.DefaultTrainable(), g)
+	target, _ := policy.NewTrainable(h, policy.DefaultTrainable(), g)
+	cfg := rl.DefaultDQNConfig()
+	cfg.LearnStart, cfg.UpdateEvery, cfg.TargetSync = 1, 1, math.MaxInt
+	agent := rl.NewDQN(online, target, cfg, 4)
+	env := airlearning.NewEnv(airlearning.LowObstacle, 4)
+	var trans []airlearning.Transition
+	obs := env.Reset()
+	for len(trans) < 256 {
+		a := len(trans) % airlearning.NumActions
+		next, r, done := env.Step(a)
+		trans = append(trans, airlearning.Transition{Obs: obs, Action: a, Reward: r, Next: next, Done: done})
+		obs = next
+		if done {
+			obs = env.Reset()
+		}
+	}
+	for _, t := range trans[:32] {
+		agent.Observe(t)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agent.Observe(trans[i%len(trans)])
 	}
 }
 

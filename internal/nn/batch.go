@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"autopilot/internal/tensor"
 )
@@ -18,65 +17,36 @@ type BatchLayer interface {
 	ForwardBatch(xs []*tensor.Tensor) []*tensor.Tensor
 }
 
-// ForwardBatch computes W·x + b for every input with the exact per-sample
-// accumulation order of Forward, without touching the input cache.
+// ForwardBatch computes W·x + b for every input with Forward's kernel,
+// into fresh outputs and without touching the input cache.
 func (d *Dense) ForwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
-	in, out := d.W.Dim(1), d.W.Dim(0)
-	wd, bd := d.W.Data(), d.B.Data()
+	out := d.OutDim()
 	ys := make([]*tensor.Tensor, len(xs))
-	for bi, x := range xs {
-		if x.Len() != in {
-			panic(fmt.Sprintf("nn: Dense batch input len %d, want %d", x.Len(), in))
-		}
-		xd := x.Data()
-		y := tensor.New(out)
-		yd := y.Data()
-		for o := 0; o < out; o++ {
-			s := bd[o]
-			row := wd[o*in : (o+1)*in]
-			for i, xv := range xd {
-				s += row[i] * xv
-			}
-			yd[o] = s
-		}
-		ys[bi] = y
+	buf := make([]float64, len(xs)*out)
+	for i, x := range xs {
+		d.mustInput(x)
+		y := buf[i*out : (i+1)*out]
+		d.forward(y, x.Data())
+		ys[i] = tensor.FromSlice(y, out)
 	}
 	return ys
 }
 
-// ForwardBatch convolves every input in one GEMM: the per-sample im2col
-// matrices are concatenated column-wise and multiplied against the filter
-// bank together, so each sample's output columns see exactly the arithmetic
-// Forward performs on them alone. The im2col cache is left untouched.
+// ForwardBatch convolves every input with Forward's kernels. The im2col
+// workspace is allocated per call and shared by the call's samples, so the
+// layer's own buffers are left untouched and concurrent calls share nothing.
 func (c *Conv2D) ForwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 	if len(xs) == 0 {
 		return nil
 	}
-	oh, ow := c.Dims.OutH(), c.Dims.OutW()
-	hw := oh * ow
-	cols := make([]*tensor.Tensor, len(xs))
-	widths := make([]int, len(xs))
-	for i, x := range xs {
-		cols[i] = tensor.Im2col(x, c.Dims)
-		widths[i] = hw
-	}
-	y := tensor.MatMul(c.W, tensor.ConcatCols(cols...)) // (OutC, B*hw)
-	yd := y.Data()
-	total := len(xs) * hw
-	for oc := 0; oc < c.Dims.OutC; oc++ {
-		b := c.B.At(oc)
-		if b == 0 {
-			continue
-		}
-		row := yd[oc*total : (oc+1)*total]
-		for i := range row {
-			row[i] += b
-		}
-	}
-	blocks := tensor.SplitCols(y, widths...)
+	n := c.Dims.OutC * c.hw()
+	cols := make([]float64, c.fanIn()*c.hw())
+	buf := make([]float64, len(xs)*n)
 	ys := make([]*tensor.Tensor, len(xs))
-	for i, blk := range blocks {
-		ys[i] = blk.Reshape(c.Dims.OutC, oh, ow)
+	for i, x := range xs {
+		y := buf[i*n : (i+1)*n]
+		c.forward(y, cols, x.Data())
+		ys[i] = tensor.FromSlice(y, c.Dims.OutC, c.Dims.OutH(), c.Dims.OutW())
 	}
 	return ys
 }
@@ -86,12 +56,8 @@ func (c *Conv2D) ForwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 func (r *ReLU) ForwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 	ys := make([]*tensor.Tensor, len(xs))
 	for i, x := range xs {
-		ys[i] = tensor.Apply(x, func(v float64) float64 {
-			if v > 0 {
-				return v
-			}
-			return 0
-		})
+		ys[i] = tensor.New(x.Shape()...)
+		relu(ys[i].Data(), x.Data())
 	}
 	return ys
 }
@@ -100,7 +66,8 @@ func (r *ReLU) ForwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 func (t *Tanh) ForwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 	ys := make([]*tensor.Tensor, len(xs))
 	for i, x := range xs {
-		ys[i] = tensor.Apply(x, math.Tanh)
+		ys[i] = tensor.New(x.Shape()...)
+		tanh(ys[i].Data(), x.Data())
 	}
 	return ys
 }
@@ -116,9 +83,10 @@ func (f *Flatten) ForwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 
 // ForwardBatch runs a whole batch through every layer, using the cache-free
 // batched path where a layer provides one and falling back to per-sample
-// Forward otherwise. With the stock layers (Dense, Conv2D, ReLU, Tanh,
-// Flatten) the whole pass is pure: safe for concurrent use on a frozen
-// network and bitwise identical to per-sample Forward.
+// Forward, with each result copied out, otherwise. With the stock layers
+// (Dense, Conv2D, ReLU, Tanh, Flatten) the whole pass is pure: safe for
+// concurrent use on a frozen network and bitwise identical to per-sample
+// Forward.
 func (s *Sequential) ForwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 	xs = append([]*tensor.Tensor(nil), xs...)
 	for _, l := range s.Layers {
@@ -127,7 +95,8 @@ func (s *Sequential) ForwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 			continue
 		}
 		for i, x := range xs {
-			xs[i] = l.Forward(x)
+			// Forward's result is layer-owned; keep a copy per sample.
+			xs[i] = l.Forward(x).Clone()
 		}
 	}
 	return xs

@@ -10,12 +10,21 @@ import (
 // policy template (paper Fig. 2a): an image trunk (convolutions) and a state
 // trunk (IMU/goal vector through dense layers) whose outputs are concatenated
 // and fed to a dense head that produces action values or logits.
+//
+// Like its layers, a MultiModal owns the buffers a training step writes —
+// the joint vector the head reads and the branch views of the head's input
+// gradient — so the tensor Forward returns is valid until the next Forward
+// on the same network.
 type MultiModal struct {
 	Vision *Sequential
 	State  *Sequential
 	Head   *Sequential
 
-	vLen, sLen int // cached branch output lengths from the last Forward
+	vLen, sLen int            // cached branch output lengths from the last Forward
+	joint      *tensor.Tensor // concatenated branch outputs, the head's input
+	// jointGrad is the head's last input gradient; vGrad and sGrad are views
+	// of its two halves, rebuilt only when it changes.
+	jointGrad, vGrad, sGrad *tensor.Tensor
 }
 
 // NewMultiModal combines the three sub-networks.
@@ -28,14 +37,18 @@ func (m *MultiModal) Forward(img, state *tensor.Tensor) *tensor.Tensor {
 	v := m.Vision.Forward(img)
 	s := m.State.Forward(state)
 	m.vLen, m.sLen = v.Len(), s.Len()
-	joint := tensor.New(m.vLen + m.sLen)
-	copy(joint.Data(), v.Data())
-	copy(joint.Data()[m.vLen:], s.Data())
-	return m.Head.Forward(joint)
+	if m.joint == nil || m.joint.Len() != m.vLen+m.sLen {
+		m.joint = tensor.New(m.vLen + m.sLen)
+	}
+	copy(m.joint.Data(), v.Data())
+	copy(m.joint.Data()[m.vLen:], s.Data())
+	return m.Head.Forward(m.joint)
 }
 
 // Backward propagates the output gradient through the head and splits it
-// across the two branches. Forward must have been called first.
+// across the two branches. Forward must have been called first. Nothing
+// consumes the gradient w.r.t. the image or state input, so the first layer
+// of each branch accumulates its parameter gradients and stops there.
 func (m *MultiModal) Backward(grad *tensor.Tensor) {
 	if m.vLen == 0 && m.sLen == 0 {
 		panic("nn: MultiModal.Backward before Forward")
@@ -44,11 +57,14 @@ func (m *MultiModal) Backward(grad *tensor.Tensor) {
 	if joint.Len() != m.vLen+m.sLen {
 		panic(fmt.Sprintf("nn: joint grad len %d, want %d", joint.Len(), m.vLen+m.sLen))
 	}
-	jd := joint.Data()
-	vGrad := tensor.FromSlice(append([]float64(nil), jd[:m.vLen]...), m.vLen)
-	sGrad := tensor.FromSlice(append([]float64(nil), jd[m.vLen:]...), m.sLen)
-	m.Vision.Backward(vGrad)
-	m.State.Backward(sGrad)
+	if joint != m.jointGrad || m.vGrad.Len() != m.vLen {
+		jd := joint.Data()
+		m.jointGrad = joint
+		m.vGrad = tensor.FromSlice(jd[:m.vLen], m.vLen)
+		m.sGrad = tensor.FromSlice(jd[m.vLen:], m.sLen)
+	}
+	m.Vision.backwardParams(m.vGrad)
+	m.State.backwardParams(m.sGrad)
 }
 
 // Params returns all trainable tensors across the three sub-networks.

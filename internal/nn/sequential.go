@@ -29,6 +29,23 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return grad
 }
 
+// backwardParams is Backward for a network whose input gradient nothing
+// reads: every layer but the first propagates as usual, and the first only
+// accumulates its parameter gradients when it can skip the input gradient.
+func (s *Sequential) backwardParams(grad *tensor.Tensor) {
+	if len(s.Layers) == 0 {
+		return
+	}
+	for i := len(s.Layers) - 1; i > 0; i-- {
+		grad = s.Layers[i].Backward(grad)
+	}
+	if l, ok := s.Layers[0].(paramGradLayer); ok {
+		l.backwardParams(grad)
+		return
+	}
+	s.Layers[0].Backward(grad)
+}
+
 // Params returns all trainable tensors in layer order.
 func (s *Sequential) Params() []*tensor.Tensor {
 	var ps []*tensor.Tensor

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"fmt"
 	"math"
 
 	"autopilot/internal/airlearning"
@@ -41,6 +42,38 @@ func DefaultDQNConfig() DQNConfig {
 	}
 }
 
+// ConfigError reports a DQNConfig field whose value would break training:
+// an integer divide by zero, a NaN exploration rate or a replay buffer that
+// cannot hold anything.
+type ConfigError struct {
+	Field string // DQNConfig field name
+	Value int    // the rejected value
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("rl: invalid DQN config: %s = %d, must be positive", e.Field, e.Value)
+}
+
+// Validate reports the first field that must be positive but is not, as a
+// *ConfigError.
+func (c DQNConfig) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"EpsDecaySteps", c.EpsDecaySteps},
+		{"BufferSize", c.BufferSize},
+		{"BatchSize", c.BatchSize},
+		{"TargetSync", c.TargetSync},
+		{"UpdateEvery", c.UpdateEvery},
+	} {
+		if f.v <= 0 {
+			return &ConfigError{Field: f.name, Value: f.v}
+		}
+	}
+	return nil
+}
+
 // DQN is a Deep Q-Network agent over the multi-modal policy template.
 type DQN struct {
 	Online *nn.MultiModal
@@ -51,11 +84,21 @@ type DQN struct {
 	buffer *ReplayBuffer
 	rng    *tensor.RNG
 	steps  int
+
+	// Update workspace: the online network's parameter and gradient lists
+	// (resolved once per network) and the one-hot output gradient.
+	net           *nn.MultiModal
+	params, grads []*tensor.Tensor
+	grad          *tensor.Tensor
 }
 
 // NewDQN wraps an online/target network pair. The target is immediately
-// synchronized to the online network.
+// synchronized to the online network. cfg must pass Validate; NewDQN panics
+// with the *ConfigError otherwise (Factory returns it as an error instead).
 func NewDQN(online, target *nn.MultiModal, cfg DQNConfig, seed int64) *DQN {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	target.CopyParamsFrom(online)
 	return &DQN{
 		Online: online,
@@ -116,8 +159,13 @@ func (d *DQN) EndEpisode(airlearning.EpisodeResult) {}
 
 // update performs one minibatch Q-learning step.
 func (d *DQN) update() {
+	if d.net != d.Online {
+		d.net, d.params, d.grads = d.Online, d.Online.Params(), d.Online.Grads()
+	}
 	batch := d.buffer.Sample(d.rng, d.cfg.BatchSize)
-	d.Online.ZeroGrads()
+	for _, g := range d.grads {
+		g.Zero()
+	}
 	for _, t := range batch {
 		target := t.Reward
 		if !t.Done {
@@ -134,13 +182,17 @@ func (d *DQN) update() {
 		}
 		q := d.Online.Forward(t.Obs.Image, t.Obs.State)
 		// gradient only on the taken action, Huber-style
-		grad := tensor.New(q.Len())
+		if d.grad == nil || d.grad.Len() != q.Len() {
+			d.grad = tensor.New(q.Len())
+		}
+		gd := d.grad.Data()
+		clear(gd)
 		diff := q.Data()[t.Action] - target
-		grad.Data()[t.Action] = clamp(diff, -1, 1) / float64(len(batch))
-		d.Online.Backward(grad)
+		gd[t.Action] = clamp(diff, -1, 1) / float64(len(batch))
+		d.Online.Backward(d.grad)
 	}
-	nn.ClipGrads(d.Online.Grads(), d.cfg.MaxGradNorm)
-	d.opt.Step(d.Online.Params(), d.Online.Grads())
+	nn.ClipGrads(d.grads, d.cfg.MaxGradNorm)
+	d.opt.Step(d.params, d.grads)
 }
 
 // TrainStats summarizes a training run.

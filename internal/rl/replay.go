@@ -17,9 +17,10 @@ type Transition = airlearning.Transition
 
 // ReplayBuffer is a fixed-capacity ring buffer of transitions.
 type ReplayBuffer struct {
-	data []Transition
-	idx  int
-	n    int
+	data  []Transition
+	idx   int
+	n     int
+	batch []Transition // Sample's result, reused
 }
 
 // NewReplayBuffer returns a buffer holding at most capacity transitions.
@@ -42,12 +43,16 @@ func (b *ReplayBuffer) Add(t Transition) {
 // Len returns the number of stored transitions.
 func (b *ReplayBuffer) Len() int { return b.n }
 
-// Sample draws n transitions uniformly with replacement.
+// Sample draws n transitions uniformly with replacement. The returned slice
+// belongs to the buffer and is overwritten by the next Sample call.
 func (b *ReplayBuffer) Sample(g *tensor.RNG, n int) []Transition {
 	if b.n == 0 {
 		return nil
 	}
-	out := make([]Transition, n)
+	if cap(b.batch) < n {
+		b.batch = make([]Transition, n)
+	}
+	out := b.batch[:n]
 	for i := range out {
 		out[i] = b.data[g.Intn(b.n)]
 	}

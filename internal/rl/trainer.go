@@ -53,6 +53,10 @@ func Factory(cfg TrainConfig) train.Factory {
 		tcfg := policy.DefaultTrainable()
 		switch cfg.Algorithm {
 		case AlgDQN:
+			dcfg := DefaultDQNConfig()
+			if err := dcfg.Validate(); err != nil {
+				return nil, err
+			}
 			online, err := policy.NewTrainable(h, tcfg, rng)
 			if err != nil {
 				return nil, err
@@ -61,7 +65,7 @@ func Factory(cfg TrainConfig) train.Factory {
 			if err != nil {
 				return nil, err
 			}
-			return NewDQN(online, target, DefaultDQNConfig(), seed), nil
+			return NewDQN(online, target, dcfg, seed), nil
 		case AlgReinforce:
 			model, err := policy.NewTrainable(h, tcfg, rng)
 			if err != nil {

@@ -37,68 +37,98 @@ func (d ConvDims) MACs() int64 {
 
 // Im2col unrolls input (InC×InH×InW, flattened row-major) into a matrix of
 // shape (InC*K*K) × (OutH*OutW) so convolution becomes a matrix product
-// weights(OutC × InC*K*K) · cols.
+// weights(OutC × InC*K*K) · cols. It is the allocating form of Im2colInto.
 func Im2col(in *Tensor, d ConvDims) *Tensor {
-	if in.Len() != d.InC*d.InH*d.InW {
-		panic(fmt.Sprintf("tensor: Im2col input len %d, want %d", in.Len(), d.InC*d.InH*d.InW))
+	out := New(d.InC*d.K*d.K, d.OutH()*d.OutW())
+	Im2colInto(out.data, in.data, d)
+	return out
+}
+
+// Im2colInto writes the im2col matrix of in into dst. Only cells that read
+// an input pixel are written: cells that fall on the zero padding are never
+// touched, so a zeroed buffer that only Im2colInto writes keeps them zero
+// across any number of calls with the same geometry.
+func Im2colInto(dst, in []float64, d ConvDims) {
+	if len(in) != d.InC*d.InH*d.InW {
+		panic(fmt.Sprintf("tensor: Im2col input len %d, want %d", len(in), d.InC*d.InH*d.InW))
 	}
 	oh, ow := d.OutH(), d.OutW()
 	rows := d.InC * d.K * d.K
 	cols := oh * ow
-	out := New(rows, cols)
+	if len(dst) != rows*cols {
+		panic(fmt.Sprintf("tensor: Im2col output len %d, want %d", len(dst), rows*cols))
+	}
 	for c := 0; c < d.InC; c++ {
 		for ky := 0; ky < d.K; ky++ {
 			for kx := 0; kx < d.K; kx++ {
-				row := (c*d.K+ky)*d.K + kx
-				for oy := 0; oy < oh; oy++ {
+				row := dst[((c*d.K+ky)*d.K+kx)*cols:][:cols]
+				oy0, oy1 := d.validSpan(ky, oh, d.InH)
+				ox0, ox1 := d.validSpan(kx, ow, d.InW)
+				for oy := oy0; oy < oy1; oy++ {
 					iy := oy*d.Stride + ky - d.Pad
-					if iy < 0 || iy >= d.InH {
-						continue
-					}
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*d.Stride + kx - d.Pad
-						if ix < 0 || ix >= d.InW {
-							continue
-						}
-						out.data[row*cols+oy*ow+ox] = in.data[(c*d.InH+iy)*d.InW+ix]
+					src := in[(c*d.InH+iy)*d.InW:][:d.InW]
+					out := row[oy*ow:][:ow]
+					for ox := ox0; ox < ox1; ox++ {
+						out[ox] = src[ox*d.Stride+kx-d.Pad]
 					}
 				}
 			}
 		}
 	}
-	return out
+}
+
+// validSpan returns the output positions [o0, o1), out of n along one axis,
+// at which kernel tap k reads an input pixel rather than padding:
+// 0 <= o·Stride + k - Pad < in. Im2col and Col2im visit exactly these, in
+// ascending order, instead of testing every position.
+func (d ConvDims) validSpan(k, n, in int) (o0, o1 int) {
+	if lo := d.Pad - k; lo > 0 {
+		o0 = (lo + d.Stride - 1) / d.Stride
+	}
+	o1 = (in + d.Pad - k + d.Stride - 1) / d.Stride
+	o1 = min(o1, n)
+	o0 = min(o0, o1)
+	return o0, o1
 }
 
 // Col2im scatters a (InC*K*K) × (OutH*OutW) gradient matrix back onto the
 // input layout, accumulating overlapping contributions. It is the adjoint of
-// Im2col and is used by the convolution backward pass.
+// Im2col and is used by the convolution backward pass. It is the allocating
+// form of Col2imInto.
 func Col2im(cols *Tensor, d ConvDims) *Tensor {
+	out := New(d.InC, d.InH, d.InW)
+	Col2imInto(out.data, cols.data, d)
+	return out
+}
+
+// Col2imInto overwrites dst (InC×InH×InW) with the Col2im scatter of cols:
+// dst is cleared, then every contribution is added in Col2im's order.
+func Col2imInto(dst, cols []float64, d ConvDims) {
 	oh, ow := d.OutH(), d.OutW()
 	rows := d.InC * d.K * d.K
 	ncols := oh * ow
-	if cols.Len() != rows*ncols {
-		panic(fmt.Sprintf("tensor: Col2im input len %d, want %d", cols.Len(), rows*ncols))
+	if len(cols) != rows*ncols {
+		panic(fmt.Sprintf("tensor: Col2im input len %d, want %d", len(cols), rows*ncols))
 	}
-	out := New(d.InC, d.InH, d.InW)
+	if len(dst) != d.InC*d.InH*d.InW {
+		panic(fmt.Sprintf("tensor: Col2im output len %d, want %d", len(dst), d.InC*d.InH*d.InW))
+	}
+	clear(dst)
 	for c := 0; c < d.InC; c++ {
 		for ky := 0; ky < d.K; ky++ {
 			for kx := 0; kx < d.K; kx++ {
-				row := (c*d.K+ky)*d.K + kx
-				for oy := 0; oy < oh; oy++ {
+				row := cols[((c*d.K+ky)*d.K+kx)*ncols:][:ncols]
+				oy0, oy1 := d.validSpan(ky, oh, d.InH)
+				ox0, ox1 := d.validSpan(kx, ow, d.InW)
+				for oy := oy0; oy < oy1; oy++ {
 					iy := oy*d.Stride + ky - d.Pad
-					if iy < 0 || iy >= d.InH {
-						continue
-					}
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*d.Stride + kx - d.Pad
-						if ix < 0 || ix >= d.InW {
-							continue
-						}
-						out.data[(c*d.InH+iy)*d.InW+ix] += cols.data[row*ncols+oy*ow+ox]
+					out := dst[(c*d.InH+iy)*d.InW:][:d.InW]
+					src := row[oy*ow:][:ow]
+					for ox := ox0; ox < ox1; ox++ {
+						out[ox*d.Stride+kx-d.Pad] += src[ox]
 					}
 				}
 			}
 		}
 	}
-	return out
 }

@@ -1,8 +1,12 @@
 // Package tensor provides the minimal dense float64 tensor math used by the
 // neural-network and reinforcement-learning substrates. It is deliberately
 // small: shapes, element access, matrix multiplication, and the im2col
-// transform needed for 2-D convolutions. Everything is deterministic given a
-// seeded RNG so experiments are reproducible.
+// transform needed for 2-D convolutions. The matrix and im2col kernels come
+// in an in-place form over caller-owned slices (MatMulInto,
+// MatMulTransBInto, MatMulTransAInto, Im2colInto, Col2imInto), which the
+// neural-network layers call with buffers they keep across samples; MatMul,
+// Im2col and Col2im are thin allocating wrappers over them. Everything is
+// deterministic given a seeded RNG so experiments are reproducible.
 package tensor
 
 import (
@@ -226,7 +230,8 @@ func (t *Tensor) Norm2() float64 {
 	return math.Sqrt(s)
 }
 
-// MatMul returns the matrix product of a (m×k) and b (k×n).
+// MatMul returns the matrix product of a (m×k) and b (k×n). It is the
+// allocating form of MatMulInto.
 func MatMul(a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMul requires rank-2 tensors")
@@ -237,97 +242,123 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dims mismatch %d vs %d", k, k2))
 	}
 	out := New(m, n)
-	// ikj loop order: streams through b rows, cache friendly.
+	MatMulInto(out.data, a.data, b.data, m, k, n)
+	return out
+}
+
+// The three GEMM kernels below work on raw row-major slices and write a
+// caller-owned dst of m×n elements, so a layer can keep its buffers across
+// calls. They share one per-element contract: dst[i][j] starts at +0 and
+// adds a-element × b-element over the contraction index p = 0..k-1 in
+// ascending order, skipping every term whose a-element is exactly zero. The
+// transposed forms therefore equal MatMul on an explicitly transposed
+// operand bit for bit, without building the transpose.
+
+// MatMulInto computes dst = a·b for a (m×k) and b (k×n).
+func MatMulInto(dst, a, b []float64, m, k, n int) {
+	checkGemm("MatMulInto", dst, a, b, m*n, m*k, k*n)
 	for i := 0; i < m; i++ {
-		arow := a.data[i*k : (i+1)*k]
-		orow := out.data[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := b.data[p*n : (p+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
+		orow := dst[i*n : (i+1)*n]
+		clear(orow)
+		addTerms(orow, a[i*k:], 1, k, b)
 	}
-	return out
 }
 
-// ConcatCols concatenates rank-2 tensors with equal row counts side by side
-// into one (rows, Σcols) matrix. MatMul against the result prices every
-// constituent in a single pass, and each output column is bitwise identical
-// to multiplying the constituent alone — the property the batched network
-// forward relies on.
-func ConcatCols(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("tensor: ConcatCols of nothing")
-	}
-	rows := ts[0].shape[0]
-	cols := 0
-	for _, t := range ts {
-		if t.Rank() != 2 {
-			panic("tensor: ConcatCols requires rank-2 tensors")
+// addTerms adds coef[p·stride]·b[p·n : (p+1)·n] into o (n = len(o)) for
+// p = 0..k-1 in ascending order, skipping zero coefficients: the row update
+// every GEMM kernel here performs. The nonzero terms are applied four at a
+// time in one pass over o, so each o[j] is loaded and stored once per four
+// terms and still receives them one by one, in order.
+func addTerms(o, coef []float64, stride, k int, b []float64) {
+	n := len(o)
+	var ps [4]int
+	cnt := 0
+	for p := 0; p < k; p++ {
+		if coef[p*stride] == 0 {
+			continue
 		}
-		if t.shape[0] != rows {
-			panic(fmt.Sprintf("tensor: ConcatCols row mismatch %d vs %d", t.shape[0], rows))
+		ps[cnt] = p
+		cnt++
+		if cnt < 4 {
+			continue
 		}
-		cols += t.shape[1]
-	}
-	out := New(rows, cols)
-	off := 0
-	for _, t := range ts {
-		w := t.shape[1]
-		for r := 0; r < rows; r++ {
-			copy(out.data[r*cols+off:r*cols+off+w], t.data[r*w:(r+1)*w])
+		cnt = 0
+		a0, a1, a2, a3 := coef[ps[0]*stride], coef[ps[1]*stride], coef[ps[2]*stride], coef[ps[3]*stride]
+		b0 := b[ps[0]*n:][:n]
+		b1 := b[ps[1]*n:][:n]
+		b2 := b[ps[2]*n:][:n]
+		b3 := b[ps[3]*n:][:n]
+		for j, v := range o {
+			o[j] = v + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 		}
-		off += w
 	}
-	return out
+	for _, p := range ps[:cnt] {
+		av := coef[p*stride]
+		for j, bv := range b[p*n:][:n] {
+			o[j] += av * bv
+		}
+	}
 }
 
-// SplitCols slices a rank-2 tensor into column blocks of the given widths
-// (which must sum to the column count), undoing ConcatCols. Each block is a
-// fresh tensor.
-func SplitCols(t *Tensor, widths ...int) []*Tensor {
-	if t.Rank() != 2 {
-		panic("tensor: SplitCols requires a rank-2 tensor")
-	}
-	rows, cols := t.shape[0], t.shape[1]
-	total := 0
-	for _, w := range widths {
-		total += w
-	}
-	if total != cols {
-		panic(fmt.Sprintf("tensor: SplitCols widths sum to %d, want %d", total, cols))
-	}
-	out := make([]*Tensor, len(widths))
-	off := 0
-	for i, w := range widths {
-		b := New(rows, w)
-		for r := 0; r < rows; r++ {
-			copy(b.data[r*w:(r+1)*w], t.data[r*cols+off:r*cols+off+w])
-		}
-		out[i] = b
-		off += w
-	}
-	return out
-}
-
-// Transpose returns the transpose of a rank-2 tensor.
-func Transpose(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic("tensor: Transpose requires a rank-2 tensor")
-	}
-	m, n := a.shape[0], a.shape[1]
-	out := New(n, m)
+// MatMulTransBInto computes dst = a·bᵀ for a (m×k) and b (n×k): every output
+// is a dot product of two contiguous rows. Four outputs are accumulated per
+// pass over a row of a, each in its own register, which overlaps their
+// latency without reordering any one sum.
+func MatMulTransBInto(dst, a, b []float64, m, k, n int) {
+	checkGemm("MatMulTransBInto", dst, a, b, m*n, m*k, n*k)
 	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.data[j*m+i] = a.data[i*n+j]
+		arow := a[i*k : (i+1)*k]
+		orow := dst[i*n : (i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b[j*k : (j+1)*k]
+			b1 := b[(j+1)*k : (j+2)*k]
+			b2 := b[(j+2)*k : (j+3)*k]
+			b3 := b[(j+3)*k : (j+4)*k]
+			b0, b1, b2, b3 = b0[:len(arow)], b1[:len(arow)], b2[:len(arow)], b3[:len(arow)]
+			var s0, s1, s2, s3 float64
+			for p, av := range arow {
+				if av == 0 {
+					continue
+				}
+				s0 += av * b0[p]
+				s1 += av * b1[p]
+				s2 += av * b2[p]
+				s3 += av * b3[p]
+			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			brow := b[j*k : (j+1)*k]
+			brow = brow[:len(arow)]
+			var s float64
+			for p, av := range arow {
+				if av == 0 {
+					continue
+				}
+				s += av * brow[p]
+			}
+			orow[j] = s
 		}
 	}
-	return out
+}
+
+// MatMulTransAInto computes dst = aᵀ·b for a (k×m) and b (k×n), reading the
+// columns of a in place.
+func MatMulTransAInto(dst, a, b []float64, m, k, n int) {
+	checkGemm("MatMulTransAInto", dst, a, b, m*n, k*m, k*n)
+	for i := 0; i < m; i++ {
+		orow := dst[i*n : (i+1)*n]
+		clear(orow)
+		addTerms(orow, a[i:], m, k, b)
+	}
+}
+
+func checkGemm(op string, dst, a, b []float64, nDst, nA, nB int) {
+	if len(dst) != nDst || len(a) != nA || len(b) != nB {
+		panic(fmt.Sprintf("tensor: %s operand lengths dst %d, a %d, b %d; want %d, %d, %d",
+			op, len(dst), len(a), len(b), nDst, nA, nB))
+	}
 }
 
 // ArgMax returns the flat index of the maximum element.

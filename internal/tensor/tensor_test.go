@@ -154,27 +154,6 @@ func TestMatMulMismatchPanics(t *testing.T) {
 	MatMul(New(2, 3), New(2, 3))
 }
 
-func TestTranspose(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	got := Transpose(a)
-	want := FromSlice([]float64{1, 4, 2, 5, 3, 6}, 3, 2)
-	if !Equal(got, want, 0) {
-		t.Fatalf("Transpose = %v", got)
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	g := NewRNG(1)
-	f := func(seed uint8) bool {
-		m, n := 1+int(seed%7), 1+int(seed/7%9)
-		a := g.Randn(1, m, n)
-		return Equal(Transpose(Transpose(a)), a, 0)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMatMulIdentityProperty(t *testing.T) {
 	g := NewRNG(2)
 	f := func(seed uint8) bool {

@@ -2,10 +2,15 @@ package train_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"strconv"
 	"testing"
 
 	"autopilot/internal/airlearning"
+	"autopilot/internal/nn"
 	"autopilot/internal/policy"
 	"autopilot/internal/rl"
 	"autopilot/internal/train"
@@ -63,6 +68,73 @@ func TestPhase1TrainGoldenDatabase(t *testing.T) {
 			}
 			if rec.TrainSteps != g.steps {
 				t.Errorf("workers=%d %s: %d env steps, want %d", workers, g.hyper, rec.TrainSteps, g.steps)
+			}
+		}
+	}
+}
+
+// goldenPolicies pins two single training runs by their trained parameters,
+// not only by the coarse success rate: a sha256 over the IEEE-754 bits of
+// every parameter in Params order, plus the validated success rate and the
+// training step count. The DQN point is the 6-channel, three-conv trunk
+// (stride-2 stem, then two stride-1 convs); the REINFORCE point exercises
+// the same Forward/Backward through the policy-gradient update. Equality is
+// bitwise at workers 1 and 8: the worker count only fans out evaluation.
+var goldenPolicies = []struct {
+	alg      rl.Algorithm
+	hyper    policy.Hyper
+	episodes int
+	succ     string
+	steps    int
+	params   string
+}{
+	{alg: rl.AlgDQN, hyper: policy.Hyper{Layers: 7, Filters: 48}, episodes: 80,
+		succ: "0x1.999999999999ap-05", steps: 872,
+		params: "b551bfc3f3f4da41b10bbd869d61abdfd573f97bb60cb8c50e4f0462174e176f"},
+	{alg: rl.AlgReinforce, hyper: policy.Hyper{Layers: 2, Filters: 32}, episodes: 60,
+		succ: "0x1.999999999999ap-05", steps: 869,
+		params: "67db39403c293b7552d12e39799ee3a981c3ef2ab5ead368d9ecd74b6011ddf4"},
+}
+
+// paramDigest hashes the network's parameters bit for bit.
+func paramDigest(net *nn.MultiModal) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, p := range net.Params() {
+		for _, v := range p.Data() {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func TestPhase1TrainGoldenPolicies(t *testing.T) {
+	for _, g := range goldenPolicies {
+		for _, workers := range []int{1, 8} {
+			cfg := rl.TrainConfig{Algorithm: g.alg, Episodes: g.episodes, EvalEpisodes: 20, Seed: 3}
+			eng := train.New(rl.Factory(cfg), train.Config{
+				Episodes:     cfg.Episodes,
+				EvalEpisodes: cfg.EvalEpisodes,
+				Seed:         cfg.Seed,
+				Workers:      workers,
+			})
+			rec, pol, err := eng.Train(context.Background(), g.hyper, airlearning.LowObstacle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			greedy, ok := pol.(rl.GreedyPolicy)
+			if !ok {
+				t.Fatalf("%v %s: policy %T, want rl.GreedyPolicy", g.alg, g.hyper, pol)
+			}
+			if want := gx(t, g.succ); rec.SuccessRate != want {
+				t.Errorf("workers=%d %v %s: success rate %x, want %s", workers, g.alg, g.hyper, rec.SuccessRate, g.succ)
+			}
+			if rec.TrainSteps != g.steps {
+				t.Errorf("workers=%d %v %s: %d env steps, want %d", workers, g.alg, g.hyper, rec.TrainSteps, g.steps)
+			}
+			if got := paramDigest(greedy.Net); got != g.params {
+				t.Errorf("workers=%d %v %s: parameter digest %s, want %s", workers, g.alg, g.hyper, got, g.params)
 			}
 		}
 	}
