@@ -156,15 +156,26 @@ func BenchmarkAblationBOvsRandom(b *testing.B) {
 		for i, d := range cands {
 			feats[i] = space.Features(d)
 		}
-		ev := dse.NewEvaluator(db, airlearning.DenseObstacle, power.Default(), dse.WithTemplate(space.Template))
+		ev := dse.Request{Space: space, DB: db, Scenario: airlearning.DenseObstacle, Power: power.Default()}.NewEvaluator()
 		return bayesopt.Problem{
 			Candidates: feats,
-			Evaluate: func(i int) []float64 {
-				e, err := ev.Evaluate(cands[i])
-				if err != nil {
+			Evaluate: func(indices []int) [][]float64 {
+				ds := make([]dse.DesignPoint, len(indices))
+				for j, i := range indices {
+					ds[j] = cands[i]
+				}
+				es, errs := make([]dse.Evaluated, len(ds)), make([]error, len(ds))
+				if err := ev.Evaluate(context.Background(), ds, 0, es, errs); err != nil {
 					b.Fatal(err)
 				}
-				return e.Objectives()
+				ys := make([][]float64, len(es))
+				for j, e := range es {
+					if errs[j] != nil {
+						b.Fatal(errs[j])
+					}
+					ys[j] = e.Objectives()
+				}
+				return ys
 			},
 			NumObjectives: 3,
 			Ref:           []float64{0, 30, 1},
@@ -390,20 +401,29 @@ func BenchmarkAcquireIteration(b *testing.B) {
 	airlearning.PopulateSurrogate(db)
 	space := dse.DefaultSpace()
 	cands := space.Sample(2048, 1)
-	ev := dse.NewEvaluator(db, airlearning.DenseObstacle, power.Default(), dse.WithTemplate(space.Template))
+	ev := dse.Request{Space: space, DB: db, Scenario: airlearning.DenseObstacle, Power: power.Default()}.NewEvaluator()
+	es, errs := make([]dse.Evaluated, len(cands)), make([]error, len(cands))
+	if err := ev.Evaluate(context.Background(), cands, 0, es, errs); err != nil {
+		b.Fatal(err)
+	}
 	feats := make([][]float64, len(cands))
 	objs := make([][]float64, len(cands))
 	for i, d := range cands {
-		feats[i] = space.Features(d)
-		e, err := ev.Evaluate(d)
-		if err != nil {
-			b.Fatal(err)
+		if errs[i] != nil {
+			b.Fatal(errs[i])
 		}
-		objs[i] = e.Objectives()
+		feats[i] = space.Features(d)
+		objs[i] = es[i].Objectives()
 	}
 	p := bayesopt.Problem{
-		Candidates:    feats,
-		Evaluate:      func(i int) []float64 { return objs[i] },
+		Candidates: feats,
+		Evaluate: func(indices []int) [][]float64 {
+			ys := make([][]float64, len(indices))
+			for j, i := range indices {
+				ys[j] = objs[i]
+			}
+			return ys
+		},
 		NumObjectives: 3,
 		Ref:           []float64{0, 30, 1},
 		Workers:       1,

@@ -206,7 +206,6 @@ func main() {
 	// Preserve sub-millisecond precision the duration flag allows but the
 	// millisecond-granular wire contract rounds away.
 	if *jobTimeout > 0 {
-		p2.JobTimeout = *jobTimeout
 		p2.Retry.Timeout = *jobTimeout
 	}
 	fmt.Printf("design space: %d joint points; exploring %d candidates with %d+%d evaluations\n",

@@ -413,7 +413,6 @@ func (r CoDesignRequest) Phase2Request(db *airlearning.Database) (dse.Request, e
 		Config:        cfg,
 		Workers:       n.Constraints.Workers,
 		Retry:         n.Constraints.RetryPolicy(),
-		JobTimeout:    n.Constraints.JobTimeout(),
 		FailureBudget: n.Constraints.FailureBudget,
 	}, nil
 }

@@ -3,6 +3,7 @@ package api
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"autopilot/internal/airlearning"
@@ -333,9 +334,9 @@ func ParseSpaceFlags(algorithms string, axes []string) (*SpaceSpec, error) {
 		}
 		ax := AxisSpec{Name: name}
 		for _, f := range strings.Split(vals, ",") {
-			var v int
-			if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &v); err != nil {
-				return nil, &SpaceError{Axis: name, Reason: fmt.Sprintf("bad value %q", f)}
+			v, err := strconv.Atoi(strings.TrimSpace(f))
+			if err != nil {
+				return nil, &SpaceError{Axis: name, Reason: fmt.Sprintf("bad value %q (want a decimal integer)", f)}
 			}
 			ax.Values = append(ax.Values, v)
 		}

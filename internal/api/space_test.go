@@ -218,3 +218,24 @@ func TestParseSpaceFlags(t *testing.T) {
 		t.Fatal("non-numeric value accepted")
 	}
 }
+
+// TestParseSpaceFlagsRejectsNumericPrefixes pins that an -axis value must be
+// a whole decimal integer: a value with a numeric prefix is rejected with a
+// typed error naming the axis instead of being silently truncated to it.
+func TestParseSpaceFlagsRejectsNumericPrefixes(t *testing.T) {
+	for _, v := range []string{"7.9", "1e3", "5x", "0x10", "5 6", ""} {
+		s, err := ParseSpaceFlags("", []string{"layers=" + v})
+		var se *SpaceError
+		if !errors.As(err, &se) {
+			t.Errorf("layers=%q: got %+v, %v; want a *SpaceError", v, s, err)
+			continue
+		}
+		if se.Axis != AxisLayers || se.Reason == "" {
+			t.Errorf("layers=%q: error %+v does not name the axis and reason", v, se)
+		}
+	}
+	s, err := ParseSpaceFlags("", []string{"layers= 4 ,6"})
+	if err != nil || len(s.Axes) != 1 || len(s.Axes[0].Values) != 2 || s.Axes[0].Values[0] != 4 {
+		t.Fatalf("padded values: %+v, %v", s, err)
+	}
+}

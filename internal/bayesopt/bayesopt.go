@@ -25,18 +25,15 @@ import (
 type Problem struct {
 	// Candidates are normalized feature encodings of each design point.
 	Candidates [][]float64
-	// Evaluate returns the objective vector (minimization) of candidate i.
-	// It is called at most once per candidate. A nil return marks the
-	// evaluation as failed: the candidate is consumed but recorded nowhere,
-	// so the models and hypervolume trace are built from survivors only.
-	Evaluate func(i int) []float64
-	// EvaluateBatch, when non-nil, scores a batch of candidates and returns
-	// one objective vector per index, in index-slice order. The optimizer
-	// uses it for the initial random samples — whose identities don't depend
-	// on each other — so a caller can score them concurrently without the
-	// optimizer knowing about goroutines. Results are recorded in
-	// submission order, so traces stay identical to the sequential path.
-	EvaluateBatch func(indices []int) [][]float64
+	// Evaluate returns one objective vector (minimization) per candidate
+	// index, in index-slice order. It is called once with the initial random
+	// samples — whose identities don't depend on each other, so a caller can
+	// score them concurrently — and then once per model-guided iteration
+	// with the single picked index; each candidate is evaluated at most once.
+	// A nil vector marks a failed evaluation: the candidate is consumed but
+	// recorded nowhere, so the models and hypervolume trace are built from
+	// survivors only.
+	Evaluate func(indices []int) [][]float64
 	// NumObjectives is the length of every objective vector.
 	NumObjectives int
 	// Ref is the hypervolume reference point; every reachable objective
@@ -185,58 +182,50 @@ func OptimizeContext(ctx context.Context, p Problem, cfg Config) (*Result, error
 	cFailed := o.Counter("bo.failed_evals")
 	cIters := o.Counter("bo.iterations")
 
-	record := func(i int, y []float64) {
-		evaluated[i] = true
-		cEvals.Inc()
-		if y == nil {
-			// Failed evaluation (graceful degradation): the candidate is
-			// consumed — never re-screened — but contributes no observation,
-			// no model-fit point and no hypervolume-trace entry.
-			cFailed.Inc()
-			return
+	// evaluate scores indices through the problem's hook and records each
+	// vector in index-slice order.
+	evaluate := func(indices []int) error {
+		ys := p.Evaluate(indices)
+		if len(ys) != len(indices) {
+			return fmt.Errorf("bayesopt: evaluator returned %d vectors for %d candidates", len(ys), len(indices))
 		}
-		if len(y) != p.NumObjectives {
-			panic(fmt.Sprintf("bayesopt: evaluator returned %d objectives, want %d", len(y), p.NumObjectives))
+		for j, i := range indices {
+			evaluated[i] = true
+			cEvals.Inc()
+			y := ys[j]
+			if y == nil {
+				// Failed evaluation (graceful degradation): the candidate is
+				// consumed — never re-screened — but contributes no
+				// observation, no model-fit point and no hypervolume-trace
+				// entry.
+				cFailed.Inc()
+				continue
+			}
+			if len(y) != p.NumObjectives {
+				return fmt.Errorf("bayesopt: evaluator returned %d objectives for candidate %d, want %d", len(y), i, p.NumObjectives)
+			}
+			objs = append(objs, y)
+			feats = append(feats, p.Candidates[i])
+			res.Evaluations = append(res.Evaluations, Evaluation{Index: i, Objectives: y})
+			res.HypervolumeTrace = append(res.HypervolumeTrace, hv.Hypervolume(objs, p.Ref))
 		}
-		objs = append(objs, y)
-		feats = append(feats, p.Candidates[i])
-		res.Evaluations = append(res.Evaluations, Evaluation{Index: i, Objectives: y})
-		res.HypervolumeTrace = append(res.HypervolumeTrace, hv.Hypervolume(objs, p.Ref))
+		return nil
 	}
 
 	// Phase A: random initialization. The initial indices are fixed up front
-	// by the seeded permutation, so when the caller supplies EvaluateBatch
-	// they can all be scored in one concurrent batch; recording stays in
-	// permutation order either way, keeping the hypervolume trace and the
-	// downstream model fits bit-identical to the sequential path.
+	// by the seeded permutation and scored in one call; recording in
+	// permutation order keeps the hypervolume trace and the downstream model
+	// fits independent of how the caller scored them.
 	perm := rng.Perm(len(p.Candidates))
-	nInit := cfg.InitSamples
-	if nInit > total {
-		nInit = total
-	}
-	init := perm[:nInit]
+	init := perm[:min(cfg.InitSamples, total)]
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("bayesopt: cancelled: %w", err)
 	}
 	isp := obs.StartStep(ctx, "bo.init", "bayesopt")
 	defer isp.End() // idempotent; covers the early error returns below
-	if p.EvaluateBatch != nil {
-		ys := p.EvaluateBatch(init)
-		if len(ys) != len(init) {
-			return nil, fmt.Errorf("bayesopt: batch evaluator returned %d vectors, want %d", len(ys), len(init))
-		}
-		for j, i := range init {
-			record(i, ys[j])
-		}
-	} else {
-		for _, i := range init {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("bayesopt: cancelled: %w", err)
-			}
-			record(i, p.Evaluate(i))
-		}
+	if err := evaluate(init); err != nil {
+		return nil, err
 	}
-
 	isp.End()
 
 	if len(objs) == 0 {
@@ -286,8 +275,11 @@ func OptimizeContext(ctx context.Context, p Problem, cfg Config) (*Result, error
 			it.End()
 			return nil, fmt.Errorf("bayesopt: none of %d screened candidates has a usable acquisition score (all NaN or -Inf)", len(pool))
 		}
-		record(best, p.Evaluate(best))
+		err = evaluate([]int{best})
 		it.End()
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	// Final Pareto front over everything evaluated.
@@ -519,8 +511,9 @@ func stdNormalCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
 }
 
-// RandomSearch evaluates `budget` random candidates — the baseline the
-// ablation benchmarks compare SMS-EGO against.
+// RandomSearch evaluates `budget` random candidates in one call to the
+// problem's hook — the baseline the ablation benchmarks compare SMS-EGO
+// against.
 func RandomSearch(p Problem, budget int, seed int64) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -531,10 +524,14 @@ func RandomSearch(p Problem, budget int, seed int64) (*Result, error) {
 	}
 	res := &Result{}
 	var objs [][]float64
-	for _, i := range rng.Perm(len(p.Candidates))[:budget] {
-		y := p.Evaluate(i)
-		objs = append(objs, y)
-		res.Evaluations = append(res.Evaluations, Evaluation{Index: i, Objectives: y})
+	indices := rng.Perm(len(p.Candidates))[:budget]
+	ys := p.Evaluate(indices)
+	if len(ys) != len(indices) {
+		return nil, fmt.Errorf("bayesopt: evaluator returned %d vectors for %d candidates", len(ys), len(indices))
+	}
+	for j, i := range indices {
+		objs = append(objs, ys[j])
+		res.Evaluations = append(res.Evaluations, Evaluation{Index: i, Objectives: ys[j]})
 		res.HypervolumeTrace = append(res.HypervolumeTrace, pareto.Hypervolume(objs, p.Ref))
 	}
 	for _, i := range pareto.NonDominated(objs) {

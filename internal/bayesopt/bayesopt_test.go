@@ -17,12 +17,23 @@ func zdt1Grid(n int) Problem {
 	}
 	return Problem{
 		Candidates: cands,
-		Evaluate: func(i int) []float64 {
+		Evaluate: perIndex(func(i int) []float64 {
 			a, b := cands[i][0], cands[i][1]
 			return []float64{a, b + (1-a)*(1-a)}
-		},
+		}),
 		NumObjectives: 2,
 		Ref:           []float64{2, 3},
+	}
+}
+
+// perIndex lifts a one-candidate objective function into the batch hook.
+func perIndex(f func(i int) []float64) func([]int) [][]float64 {
+	return func(indices []int) [][]float64 {
+		ys := make([][]float64, len(indices))
+		for j, i := range indices {
+			ys[j] = f(i)
+		}
+		return ys
 	}
 }
 
@@ -52,9 +63,11 @@ func TestOptimizeEvaluatesEachCandidateOnce(t *testing.T) {
 	p := zdt1Grid(6)
 	calls := map[int]int{}
 	inner := p.Evaluate
-	p.Evaluate = func(i int) []float64 {
-		calls[i]++
-		return inner(i)
+	p.Evaluate = func(indices []int) [][]float64 {
+		for _, i := range indices {
+			calls[i]++
+		}
+		return inner(indices)
 	}
 	cfg := DefaultConfig()
 	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 8, 12, 16
@@ -218,7 +231,7 @@ func TestAcquisitionPrefersNonDominatedRegion(t *testing.T) {
 	cands := [][]float64{{0}, {0.5}, {1}}
 	p := Problem{
 		Candidates:    cands,
-		Evaluate:      func(i int) []float64 { return []float64{1, 1} },
+		Evaluate:      perIndex(func(i int) []float64 { return []float64{1, 1} }),
 		NumObjectives: 2,
 		Ref:           []float64{2, 2},
 	}
@@ -240,7 +253,7 @@ func TestOptimizeSingleObjectiveFindsMinimum(t *testing.T) {
 	f := func(x float64) float64 { return (x - 0.37) * (x - 0.37) }
 	p := Problem{
 		Candidates:    cands,
-		Evaluate:      func(i int) []float64 { return []float64{f(cands[i][0])} },
+		Evaluate:      perIndex(func(i int) []float64 { return []float64{f(cands[i][0])} }),
 		NumObjectives: 1,
 		Ref:           []float64{2},
 	}

@@ -22,12 +22,12 @@ func dtlz2(n int, seed int64) Problem {
 	}
 	return Problem{
 		Candidates: cands,
-		Evaluate: func(i int) []float64 {
+		Evaluate: perIndex(func(i int) []float64 {
 			x := cands[i]
 			r := 1 + (x[2]-0.5)*(x[2]-0.5) + (x[3]-0.5)*(x[3]-0.5)
 			a, b := x[0]*math.Pi/2, x[1]*math.Pi/2
 			return []float64{r * math.Cos(a) * math.Cos(b), r * math.Cos(a) * math.Sin(b), r * math.Sin(a)}
-		},
+		}),
 		NumObjectives: 3,
 		Ref:           []float64{2, 2, 2},
 	}
@@ -71,7 +71,7 @@ func TestScoreSMSEGOAllocationFree(t *testing.T) {
 	var feats, objs [][]float64
 	for i := 0; i < 40; i++ {
 		feats = append(feats, p.Candidates[i])
-		objs = append(objs, p.Evaluate(i))
+		objs = append(objs, p.Evaluate([]int{i})[0])
 	}
 	model, scales, err := fitModel(feats, objs, gp.SE{Variance: 1, LengthScale: 0.35}, 1e-6)
 	if err != nil {
@@ -126,11 +126,13 @@ func TestNoUsableScoreIsAnError(t *testing.T) {
 		for i := range p.Candidates {
 			p.Candidates[i] = []float64{math.NaN(), math.NaN()}
 		}
-		p.Evaluate = func(i int) []float64 {
-			if i < 0 {
-				t.Fatalf("Evaluate(%d) called", i)
+		p.Evaluate = func(indices []int) [][]float64 {
+			for _, i := range indices {
+				if i < 0 {
+					t.Fatalf("Evaluate(%d) called", i)
+				}
 			}
-			return inner(i)
+			return inner(indices)
 		}
 		cfg := DefaultConfig()
 		cfg.Acquisition = acq

@@ -298,7 +298,6 @@ func Phase2(ctx context.Context, spec Spec, db *airlearning.Database) (*dse.Resu
 		Workers:       spec.Workers,
 		Vehicle:       dse.VehicleParams{Mission: spec.Mission, Params: spec.MissionParams, Thermal: spec.Thermal},
 		Retry:         spec.retryPolicy(),
-		JobTimeout:    spec.JobTimeout,
 		FailureBudget: spec.FailureBudget,
 		Injector:      spec.ChaosInjector,
 		Obs:           spec.Obs,

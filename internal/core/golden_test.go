@@ -42,7 +42,7 @@ func TestGoldenEvaluateOnPlatform(t *testing.T) {
 	db := airlearning.NewDatabase()
 	airlearning.PopulateSurrogate(db)
 	space := dse.DefaultSpace()
-	ev := dse.NewEvaluator(db, airlearning.DenseObstacle, power.Default(), dse.WithTemplate(space.Template))
+	ev := dse.Request{Space: space, DB: db, Scenario: airlearning.DenseObstacle, Power: power.Default()}.NewEvaluator()
 	spec := DefaultSpec(uav.ZhangNano(), airlearning.DenseObstacle)
 	model := f1.ForScenario(spec.Scenario)
 
@@ -77,7 +77,11 @@ func TestGoldenEvaluateOnPlatform(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		e, err := ev.Evaluate(c.d)
+		es, errs := make([]dse.Evaluated, 1), make([]error, 1)
+		if err := ev.Evaluate(context.Background(), []dse.DesignPoint{c.d}, 0, es, errs); err != nil {
+			t.Fatal(err)
+		}
+		e, err := es[0], errs[0]
 		if err != nil {
 			t.Fatalf("%v: %v", c.d, err)
 		}

@@ -9,6 +9,7 @@ import (
 	"autopilot/internal/airlearning"
 	"autopilot/internal/fault"
 	"autopilot/internal/power"
+	"autopilot/internal/tensor"
 )
 
 // chaosExecute runs Phase 2 under a fault injector with an open failure
@@ -132,5 +133,104 @@ func TestExecuteFailureBudgetExceeded(t *testing.T) {
 	}
 	if res == nil || len(res.Failures) == 0 {
 		t.Fatal("budget error must still return the failure report")
+	}
+}
+
+// TestExecuteFailFastDeterministic checks that without a failure budget the
+// run aborts with the lowest-index failure of the initial batch — the same
+// error, naming the same design, at workers=1 and workers=8 — however the
+// pool's goroutines happened to finish.
+func TestExecuteFailFastDeterministic(t *testing.T) {
+	in := &fault.Injector{Seed: 11, ErrorRate: 0.3}
+	// With a budget every failure is recorded, the initial batch's first and
+	// in index order, so the budgeted run names the design fail-fast must
+	// report.
+	degraded, err := chaosExecute(t, 4, in, fault.Policy{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallConfig()
+	cands := DefaultSpace().Sample(cfg.CandidatePool, cfg.Seed)
+	initial := map[string]bool{}
+	for _, i := range tensor.NewRNG(cfg.BO.Seed).Perm(len(cands))[:cfg.BO.InitSamples] {
+		initial[cands[i].String()] = true
+	}
+	initFailures := 0
+	for _, f := range degraded.Failures {
+		if initial[f.Job] {
+			initFailures++
+		}
+	}
+	if initFailures < 2 || !initial[degraded.Failures[0].Job] {
+		t.Fatalf("want several failures in the initial batch, got %d of %v; retune seed/rate", initFailures, degraded.Failures)
+	}
+	want := degraded.Failures[0].Job
+
+	var msgs []string
+	for _, workers := range []int{1, 8} {
+		res, err := chaosExecute(t, workers, in, fault.Policy{}, 0)
+		if err == nil {
+			t.Fatalf("workers=%d: fail-fast run with injected faults succeeded: %d evaluated", workers, len(res.Evaluated))
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("workers=%d: error %q does not name the lowest-index failure %s", workers, err, want)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	if msgs[0] != msgs[1] {
+		t.Fatalf("fail-fast errors differ across worker counts:\n%s\n%s", msgs[0], msgs[1])
+	}
+}
+
+// TestRandomOptimizerHonoursFailureBudget checks that random search settles
+// errors under the same policy as the Bayesian search: with a budget, failed
+// designs degrade into Result.Failures instead of aborting the run, and the
+// report is identical at any worker count.
+func TestRandomOptimizerHonoursFailureBudget(t *testing.T) {
+	in := &fault.Injector{Seed: 11, ErrorRate: 0.08, NaNRate: 0.08}
+	run := func(workers int) *Result {
+		t.Helper()
+		res, err := Execute(context.Background(), Request{
+			Space:         DefaultSpace(),
+			DB:            surrogateDB(),
+			Scenario:      airlearning.DenseObstacle,
+			Power:         power.Default(),
+			Config:        smallConfig(),
+			Optimizer:     OptRandom,
+			Workers:       workers,
+			FailureBudget: 1,
+			Injector:      in,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	seq, par := run(1), run(8)
+	if len(seq.Failures) == 0 || len(seq.Evaluated) == 0 {
+		t.Fatalf("%d failures, %d survivors; retune seed/rates", len(seq.Failures), len(seq.Evaluated))
+	}
+	if !reflect.DeepEqual(seq.Failures, par.Failures) || !reflect.DeepEqual(seq.Evaluated, par.Evaluated) {
+		t.Fatal("random-search degradation differs across worker counts")
+	}
+}
+
+// TestEvolutionaryOptimizersRefuseFailureBudget checks that the optimizers
+// that cannot degrade (moea has no notion of a failed evaluation) refuse a
+// failure budget up front instead of silently ignoring it.
+func TestEvolutionaryOptimizersRefuseFailureBudget(t *testing.T) {
+	for _, opt := range []Optimizer{OptGenetic, OptAnnealing, OptReinforce} {
+		_, err := Execute(context.Background(), Request{
+			Space:         DefaultSpace(),
+			DB:            surrogateDB(),
+			Scenario:      airlearning.DenseObstacle,
+			Power:         power.Default(),
+			Config:        smallConfig(),
+			Optimizer:     opt,
+			FailureBudget: 0.5,
+		})
+		if err == nil || !strings.Contains(err.Error(), "failure budget") {
+			t.Errorf("%v: err = %v, want a failure-budget refusal", opt, err)
+		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"autopilot/internal/airlearning"
 	"autopilot/internal/bayesopt"
@@ -406,155 +405,60 @@ type evalKey struct {
 // goroutines racing on the same uncached design are deduplicated
 // singleflight-style so each design simulates exactly once.
 type Evaluator struct {
-	db       *airlearning.Database
-	scen     airlearning.Scenario
-	model    power.Model
-	tmpl     policy.TemplateConfig
-	workers  int
-	cacheCap int
+	req Request // everything but the search itself: DB, power, retry, delegate...
 
+	// backendID names the cost-model family and keys the cache; backend
+	// builds one design's backend (the systolic-array template by default).
 	backendID string
 	backend   BackendFactory
 
-	retry    fault.Policy
-	injector *fault.Injector
-	vp       VehicleParams // mission/thermal context for vehicle-axis designs
-
-	// delegate, when non-nil, replaces the local uncached evaluation with a
-	// remote one (the grid coordinator's lease pool). Memoization, dedup and
-	// skip/failure accounting stay coordinator-side; retries, chaos
-	// injection and the actual cost-model run happen wherever the delegate
-	// executes.
-	delegate func(ctx context.Context, d DesignPoint) (Evaluated, error)
-
-	o     *obs.Observer
 	instr func(hw.Backend) hw.Backend // estimate-latency wrapper; nil when obs off
 
 	netMu sync.Mutex
 	nets  map[policy.Hyper]*policy.Network
 
-	// store memoizes settled evaluations with LRU eviction and singleflight
-	// dedup — the same seam cmd/autopilotd uses process-wide for whole-job
-	// results. With an observer its counters are the registry's
-	// dse.cache.{hits,misses,dedup,evictions}; without one they are
-	// standalone so CacheStats (and Result.CacheHits/Misses) keep working
-	// either way.
+	// store memoizes settled evaluations with singleflight dedup — the same
+	// seam cmd/autopilotd uses process-wide for whole-job results. With an
+	// observer its counters are the registry's dse.cache.{hits,misses,dedup,
+	// evictions}; without one they are standalone so CacheStats (and
+	// Result.CacheHits/Misses) keep working either way.
 	store *memo.Store[evalKey, Evaluated]
 
 	cFailures *obs.Counter // dse.eval.failures; nil when obs off
 }
 
-// Option configures an Evaluator.
-type Option func(*Evaluator)
-
-// WithWorkers bounds the EvaluateAll worker pool; n <= 0 selects
-// runtime.NumCPU().
-func WithWorkers(n int) Option {
-	return func(ev *Evaluator) { ev.workers = n }
-}
-
-// WithCache bounds the memoization cache to at most size entries with
-// least-recently-used eviction; 0 means unbounded, negative disables caching
-// entirely.
-func WithCache(size int) Option {
-	return func(ev *Evaluator) { ev.cacheCap = size }
-}
-
-// WithTemplate sets the E2E model template networks are built from. The
-// default is policy.DefaultTemplate().
-func WithTemplate(t policy.TemplateConfig) Option {
-	return func(ev *Evaluator) { ev.tmpl = t }
-}
-
-// WithBackend replaces the hardware cost-model backend designs are scored
-// on. The id names the backend family and keys the memoization cache, so
-// estimates from different backends never collide. The default is the
-// systolic-array template ("systolic") with the evaluator's power model.
-func WithBackend(id string, factory BackendFactory) Option {
-	return func(ev *Evaluator) { ev.backendID, ev.backend = id, factory }
-}
-
-// WithRetry sets the per-design retry policy. The zero policy (the default)
-// performs a single attempt, bitwise identical to the pre-retry evaluator.
-// Retried attempts re-key the fault surfaces by attempt index, so an
-// injected (or genuinely transient) fault that clears on retry still yields
-// the deterministic estimate.
-func WithRetry(p fault.Policy) Option {
-	return func(ev *Evaluator) { ev.retry = p }
-}
-
-// WithJobTimeout bounds each evaluation attempt; it composes with WithRetry
-// (a timed-out attempt is retryable). Zero means unbounded.
-func WithJobTimeout(d time.Duration) Option {
-	return func(ev *Evaluator) { ev.retry.Timeout = d }
-}
-
-// WithInjector threads a deterministic chaos injector into every backend
-// call, keyed by (backend, design, attempt). nil (the default) injects
-// nothing.
-func WithInjector(in *fault.Injector) Option {
-	return func(ev *Evaluator) { ev.injector = in }
-}
-
-// WithDelegate routes every uncached evaluation through fn instead of the
-// local backend — the hook distributed sweeps (internal/grid) plug the
-// coordinator's lease pool into. The evaluator still memoizes and
-// singleflight-dedups around fn, so duplicate designs cost one remote job,
-// and still classifies returned errors (typed infeasibility verdicts become
-// skips exactly as locally). nil restores local evaluation.
-func WithDelegate(fn func(ctx context.Context, d DesignPoint) (Evaluated, error)) Option {
-	return func(ev *Evaluator) { ev.delegate = fn }
-}
-
-// WithObs instruments the evaluator: cache hits/misses/singleflight dedups
-// land on the observer's registry (dse.cache.*), every backend estimate is
-// timed into hw.estimate_seconds, and terminal evaluation failures are
-// counted. nil (the default) disables instrumentation at zero cost; scores
-// are bitwise identical either way.
-func WithObs(o *obs.Observer) Option {
-	return func(ev *Evaluator) { ev.o = o }
-}
-
-// NewEvaluator builds a concurrency-safe evaluator over a success-rate
-// database for one deployment scenario:
+// NewEvaluator builds the request's concurrency-safe evaluator without
+// running a search. Execute scores every design through it, and grid workers
+// build theirs from the same request, which keeps remote evaluation bitwise
+// identical to local evaluation (same template, retry policy, injector keys,
+// memoization and telemetry). Only the fields that describe evaluation are
+// read: DB, Scenario, Power, Space.Template, Workers, Vehicle, Retry,
+// Injector, Delegate and Obs.
 //
-//	ev := dse.NewEvaluator(db, scen, pm, dse.WithWorkers(8), dse.WithCache(1<<16))
-func NewEvaluator(db *airlearning.Database, scen airlearning.Scenario, pm power.Model, opts ...Option) *Evaluator {
-	ev := &Evaluator{
-		db: db, scen: scen, model: pm,
-		tmpl: policy.DefaultTemplate(),
-		nets: map[policy.Hyper]*policy.Network{},
+//	ev := dse.Request{Space: dse.DefaultSpace(), DB: db, Scenario: scen, Power: pm}.NewEvaluator()
+func (r Request) NewEvaluator() *Evaluator {
+	if r.Vehicle == (VehicleParams{}) {
+		r.Vehicle = DefaultVehicleParams()
 	}
-	ev.backendID = "systolic"
+	ev := &Evaluator{req: r, backendID: "systolic", nets: map[policy.Hyper]*policy.Network{}}
 	ev.backend = func(d DesignPoint) hw.Backend {
-		return hw.SystolicBackend{Config: d.HW, Power: ev.model}
-	}
-	for _, opt := range opts {
-		opt(ev)
-	}
-	if ev.vp == (VehicleParams{}) {
-		ev.vp = DefaultVehicleParams()
+		return hw.SystolicBackend{Config: d.HW, Power: r.Power}
 	}
 	counters := memo.NewCounters()
-	if ev.o != nil {
-		counters = memo.Counters{
-			Hits:      ev.o.Counter("dse.cache.hits"),
-			Misses:    ev.o.Counter("dse.cache.misses"),
-			Dedups:    ev.o.Counter("dse.cache.dedup"),
-			Evictions: ev.o.Counter("dse.cache.evictions"),
-		}
-		ev.cFailures = ev.o.Counter("dse.eval.failures")
-		sec := ev.o.Histogram("hw.estimate_seconds", obs.LatencyBuckets)
-		calls := ev.o.Counter("hw.estimate.calls")
-		errs := ev.o.Counter("hw.estimate.errors")
+	if o := r.Obs; o != nil {
+		counters = memo.RegistryCounters(o.Metrics, "dse.cache")
+		ev.cFailures = o.Counter("dse.eval.failures")
+		sec := o.Histogram("hw.estimate_seconds", obs.LatencyBuckets)
+		calls := o.Counter("hw.estimate.calls")
+		errs := o.Counter("hw.estimate.errors")
 		ev.instr = func(b hw.Backend) hw.Backend { return hw.Instrument(b, sec, calls, errs) }
 	}
-	ev.store = memo.New[evalKey, Evaluated](ev.cacheCap, counters)
+	ev.store = memo.New[evalKey, Evaluated](0, counters)
 	return ev
 }
 
 // Workers returns the resolved worker-pool size.
-func (ev *Evaluator) Workers() int { return pool.Workers(ev.workers) }
+func (ev *Evaluator) Workers() int { return pool.Workers(ev.req.Workers) }
 
 // CacheStats reports memoization cache hits and misses so far.
 func (ev *Evaluator) CacheStats() (hits, misses int64) {
@@ -569,7 +473,7 @@ func (ev *Evaluator) network(h policy.Hyper) (*policy.Network, error) {
 	if net, ok := ev.nets[h]; ok {
 		return net, nil
 	}
-	net, err := policy.Build(h, ev.tmpl)
+	net, err := policy.Build(h, ev.req.Space.Template)
 	if err != nil {
 		return nil, fmt.Errorf("dse: build %v: %w", h, err)
 	}
@@ -591,20 +495,84 @@ func FromEstimate(d DesignPoint, success float64, est hw.Estimate) Evaluated {
 	}
 }
 
-// evaluate scores one design on the evaluator's backend, bypassing the
+// Evaluate scores a batch of design points into es and errs, which must be
+// at least len(ds) long and are index-aligned with ds: errs[i] == nil means
+// es[i] is valid. Per-design failures never stop the batch; the returned
+// error is non-nil only when ctx is cancelled, and then wraps ctx.Err().
+// A batch fans out over the request's worker pool; a single design — every
+// model-guided BO step — runs inline and allocates nothing on a cache hit.
+//
+// attempt offsets every retry attempt index. Grid workers pass the lease
+// attempt, so a re-issued lease re-keys the design's fault surfaces
+// (injector keys, fault.AttemptSeed derivations) instead of re-hitting the
+// fault that killed the previous lease; everyone else passes 0. The cache is
+// shared across offsets: a settled success answers a re-lease for free, and
+// errors are never cached, so a re-lease after a fault re-evaluates.
+func (ev *Evaluator) Evaluate(ctx context.Context, ds []DesignPoint, attempt int, es []Evaluated, errs []error) error {
+	if len(ds) == 1 {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("dse: cancelled: %w", err)
+		}
+		es[0], errs[0] = ev.evaluate(ctx, ds[0], attempt)
+		return nil
+	}
+	out, outErrs, err := pool.MapEach(ctx, ev.req.Workers, ds, func(ctx context.Context, d DesignPoint) (Evaluated, error) {
+		return ev.evaluate(ctx, d, attempt)
+	})
+	if err != nil {
+		return err
+	}
+	copy(es, out)
+	copy(errs, outErrs)
+	return nil
+}
+
+// evaluate scores one design point, consulting the memoization cache first.
+// Concurrent calls for the same uncached design are deduplicated: one
+// goroutine (the leader, counted as the miss) evaluates — through the remote
+// delegate when one is installed, else locally under the retry policy, so
+// only settled successes are ever cached — while the rest wait on its
+// in-flight result (counted as hits), so misses equals the number of designs
+// actually simulated. Skips are answers, not faults: only real failures
+// count in dse.eval.failures.
+func (ev *Evaluator) evaluate(ctx context.Context, d DesignPoint, base int) (Evaluated, error) {
+	e, _, err := ev.store.Do(ctx, evalKey{backend: ev.backendID, design: d}, func() (e Evaluated, err error) {
+		if ev.req.Delegate != nil {
+			e, err = ev.req.Delegate(ctx, d)
+		} else {
+			retry := ev.req.Retry
+			if d.Vehicle != (VehicleRef{}) {
+				// A typed infeasibility verdict is a definitive answer about
+				// the loadout, not a transient fault: never retry it.
+				retry = retry.NonRetryable(isInfeasible)
+			}
+			err = fault.Retry(ctx, retry, func(_ context.Context, attempt int) (aerr error) {
+				e, aerr = ev.estimate(d, base+attempt)
+				return aerr
+			})
+		}
+		if err != nil && !isInfeasible(err) {
+			ev.cFailures.Inc()
+		}
+		return e, err
+	})
+	return e, err
+}
+
+// estimate runs one attempt of the cost model on one design, bypassing the
 // cache. Estimation is a pure function of the design, so results are
 // bit-identical regardless of which goroutine computed them. The attempt
 // index re-keys the chaos injector so injected faults clear (or persist)
 // deterministically across retries; estimates are guarded against
 // non-finite fields before they can reach the optimizer's models.
-func (ev *Evaluator) evaluate(d DesignPoint, attempt int) (Evaluated, error) {
+func (ev *Evaluator) estimate(d DesignPoint, attempt int) (Evaluated, error) {
 	net, err := ev.network(d.Hyper)
 	if err != nil {
 		return Evaluated{}, err
 	}
 	backend := ev.backend(d)
-	if ev.injector != nil {
-		backend = ev.injector.Backend(fmt.Sprintf("%s|%s#%d", ev.backendID, d, attempt), backend)
+	if ev.req.Injector != nil {
+		backend = ev.req.Injector.Backend(fmt.Sprintf("%s|%s#%d", ev.backendID, d, attempt), backend)
 	}
 	if ev.instr != nil {
 		// Instrument outermost so injected faults count in the estimate
@@ -616,7 +584,7 @@ func (ev *Evaluator) evaluate(d DesignPoint, attempt int) (Evaluated, error) {
 		return Evaluated{}, fmt.Errorf("dse: estimate %v: %w", d, err)
 	}
 	success := 0.0
-	if rec, ok := ev.db.Get(d.Hyper, ev.scen); ok {
+	if rec, ok := ev.req.DB.Get(d.Hyper, ev.req.Scenario); ok {
 		success = rec.SuccessRate
 	}
 	// Adjust the DQN-calibrated base rate for the design's training
@@ -631,102 +599,6 @@ func (ev *Evaluator) evaluate(d DesignPoint, attempt int) (Evaluated, error) {
 		return ev.vehicleFinish(d, e)
 	}
 	return e, nil
-}
-
-// evaluateRetry runs the uncached evaluation under the evaluator's retry
-// policy with panic isolation. The zero policy performs exactly one attempt.
-// base offsets every attempt index — a job re-issued under grid lease
-// attempt n evaluates attempts n, n+1, ... so its fault surfaces (injector
-// keys, fault.AttemptSeed derivations) are re-keyed instead of
-// deterministically re-hitting the fault that killed the previous lease.
-// base 0 is bitwise the pre-grid behavior.
-func (ev *Evaluator) evaluateRetry(ctx context.Context, d DesignPoint, base int) (Evaluated, error) {
-	policy := ev.retry
-	if d.Vehicle != (VehicleRef{}) {
-		// A typed infeasibility verdict is a definitive answer about the
-		// loadout, not a transient fault: never burn retry attempts on it.
-		policy = policy.NonRetryable(isInfeasible)
-	}
-	var e Evaluated
-	err := fault.Retry(ctx, policy, func(_ context.Context, attempt int) error {
-		var aerr error
-		e, aerr = ev.evaluate(d, base+attempt)
-		return aerr
-	})
-	if err != nil {
-		return Evaluated{}, err
-	}
-	return e, nil
-}
-
-// compute performs one uncached evaluation — locally under the retry policy,
-// or through the remote delegate when one is installed — and keeps the
-// terminal-failure accounting identical either way (skips are answers, not
-// faults; only real failures count).
-func (ev *Evaluator) compute(ctx context.Context, d DesignPoint, base int) (Evaluated, error) {
-	var e Evaluated
-	var err error
-	if ev.delegate != nil {
-		e, err = ev.delegate(ctx, d)
-	} else {
-		e, err = ev.evaluateRetry(ctx, d, base)
-	}
-	if err != nil {
-		if !isInfeasible(err) {
-			ev.cFailures.Inc()
-		}
-		return Evaluated{}, err
-	}
-	return e, nil
-}
-
-// Evaluate scores one design point, consulting the memoization cache first.
-// It is EvaluateContext without cancellation.
-func (ev *Evaluator) Evaluate(d DesignPoint) (Evaluated, error) {
-	return ev.EvaluateContext(context.Background(), d)
-}
-
-// EvaluateContext scores one design point, consulting the memoization cache
-// first. Concurrent calls for the same uncached design are deduplicated: one
-// goroutine (the leader, counted as the miss) runs the backend — under the
-// evaluator's retry policy, so only settled successes are ever cached —
-// while the rest wait on its in-flight result (counted as hits), so misses
-// equals the number of designs actually simulated.
-func (ev *Evaluator) EvaluateContext(ctx context.Context, d DesignPoint) (Evaluated, error) {
-	return ev.EvaluateAttempt(ctx, d, 0)
-}
-
-// EvaluateAttempt scores one design point with its attempt indices offset by
-// base — the entry point grid workers run re-issued leases through, so lease
-// attempt n re-keys the design's fault surfaces deterministically. base 0 is
-// exactly EvaluateContext. The memoization cache is shared across bases: a
-// settled success from an earlier lease answers a re-lease for free, and
-// errors are never cached, so a re-lease after a faulted attempt genuinely
-// re-evaluates.
-func (ev *Evaluator) EvaluateAttempt(ctx context.Context, d DesignPoint, base int) (Evaluated, error) {
-	e, _, err := ev.store.Do(ctx, evalKey{backend: ev.backendID, design: d}, func() (Evaluated, error) {
-		return ev.compute(ctx, d, base)
-	})
-	return e, err
-}
-
-// EvaluateAll scores a batch of design points on the evaluator's bounded
-// worker pool and returns them in submission order. Cancellation drains the
-// pool and returns an error wrapping ctx.Err().
-func (ev *Evaluator) EvaluateAll(ctx context.Context, ds []DesignPoint) ([]Evaluated, error) {
-	return pool.Map(ctx, ev.workers, ds, func(ctx context.Context, d DesignPoint) (Evaluated, error) {
-		return ev.EvaluateContext(ctx, d)
-	})
-}
-
-// EvaluateEach scores a batch like EvaluateAll but isolates per-design
-// failures instead of failing fast: results and errors are index-aligned
-// with ds, and only context cancellation returns a terminal error. This is
-// the entry point graceful-degradation sweeps build on.
-func (ev *Evaluator) EvaluateEach(ctx context.Context, ds []DesignPoint) ([]Evaluated, []error, error) {
-	return pool.MapEach(ctx, ev.workers, ds, func(ctx context.Context, d DesignPoint) (Evaluated, error) {
-		return ev.EvaluateContext(ctx, d)
-	})
 }
 
 // Config controls a Phase-2 run.
@@ -839,8 +711,8 @@ type Result struct {
 
 	// Failures records every design whose evaluation failed after retries,
 	// in deterministic record order — populated only when the request ran
-	// with a positive FailureBudget (fail-fast runs abort on first error
-	// instead). Failed designs appear nowhere in Evaluated; Pareto
+	// with a positive FailureBudget (fail-fast runs abort with the failing
+	// batch's lowest-index error instead). Failed designs appear nowhere in Evaluated; Pareto
 	// extraction and the optimizer's models are built from survivors only.
 	Failures []fault.Failure
 
@@ -880,56 +752,26 @@ func (r *Result) TopSuccess(eps float64) []int {
 }
 
 // finishResult applies the shared Phase-2 post-processing: probe-corner
-// seeding (evaluated concurrently on the worker pool, re-assembled in sweep
-// order), Pareto-front extraction, and conventional-DSE labeling. With a
-// positive failure budget the probe sweep degrades gracefully — failed
-// probes are recorded in res.Failures and dropped — instead of aborting.
+// seeding (scored on the worker pool, settled in sweep order under the run's
+// error policy), Pareto-front extraction, conventional-DSE labeling, and the
+// failure-budget check.
 func finishResult(ctx context.Context, res *Result, req Request, ev *Evaluator) (*Result, error) {
-	space, db, scen, cfg := req.Space, req.DB, req.Scenario, req.Config
-	if cfg.ProbeCorners {
-		if sweep := probeSweep(space, db, scen); len(sweep) > 0 {
-			seen := map[string]bool{}
-			for _, e := range res.Evaluated {
-				seen[e.Design.String()] = true
+	if req.Config.ProbeCorners {
+		seen := map[string]bool{}
+		for _, e := range res.Evaluated {
+			seen[e.Design.String()] = true
+		}
+		for _, s := range res.Skips {
+			seen[s.Design] = true
+		}
+		var probes []DesignPoint
+		for _, d := range probeSweep(req.Space, req.DB, req.Scenario) {
+			if !seen[d.String()] {
+				probes = append(probes, d)
 			}
-			for _, s := range res.Skips {
-				seen[s.Design] = true
-			}
-			var probes []DesignPoint
-			for _, d := range sweep {
-				if !seen[d.String()] {
-					probes = append(probes, d)
-				}
-			}
-			if req.FailureBudget > 0 || space.HasVehicleAxes() {
-				// Per-design isolation: infeasible probe loadouts become
-				// typed skips; real failures degrade under a budget and stay
-				// fatal without one.
-				es, errs, err := ev.EvaluateEach(ctx, probes)
-				if err != nil {
-					return nil, err
-				}
-				for i, e := range es {
-					if errs[i] != nil {
-						if sk, ok := asSkip(probes[i], errs[i]); ok {
-							res.Skips = append(res.Skips, sk)
-							continue
-						}
-						if req.FailureBudget > 0 {
-							res.Failures = append(res.Failures, fault.NewFailure("probe "+probes[i].String(), errs[i]))
-							continue
-						}
-						return nil, errs[i]
-					}
-					res.Evaluated = append(res.Evaluated, e)
-				}
-			} else {
-				es, err := ev.EvaluateAll(ctx, probes)
-				if err != nil {
-					return nil, err
-				}
-				res.Evaluated = append(res.Evaluated, es...)
-			}
+		}
+		if _, err := req.settle(ctx, ev, res, probes, "probe "); err != nil {
+			return nil, err
 		}
 	}
 	objs := make([][]float64, len(res.Evaluated))
@@ -939,6 +781,13 @@ func finishResult(ctx context.Context, res *Result, req Request, ev *Evaluator) 
 	res.ParetoIdx = pareto.NonDominated(objs)
 	res.labelConventional()
 	res.CacheHits, res.CacheMisses = ev.CacheStats()
+	if n := len(res.Failures); n > 0 {
+		attempted := len(res.Evaluated) + n
+		if frac := float64(n) / float64(attempted); frac > req.FailureBudget {
+			return res, fmt.Errorf("dse: %d/%d evaluations failed (%.0f%% > budget %.0f%%)\n%s",
+				n, attempted, frac*100, req.FailureBudget*100, fault.Summarize(res.Failures))
+		}
+	}
 	return res, nil
 }
 

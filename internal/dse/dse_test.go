@@ -25,6 +25,21 @@ func runWith(opt Optimizer, space Space, db *airlearning.Database, scen airlearn
 	})
 }
 
+// newEvaluator builds the default-space evaluator for the dense scenario.
+func newEvaluator(db *airlearning.Database) *Evaluator {
+	return Request{Space: DefaultSpace(), DB: db, Scenario: airlearning.DenseObstacle, Power: power.Default()}.NewEvaluator()
+}
+
+// evalOne scores one design through the evaluator's batch call.
+func evalOne(ev *Evaluator, d DesignPoint) (Evaluated, error) {
+	var es [1]Evaluated
+	var errs [1]error
+	if err := ev.Evaluate(context.Background(), []DesignPoint{d}, 0, es[:], errs[:]); err != nil {
+		return Evaluated{}, err
+	}
+	return es[0], errs[0]
+}
+
 func surrogateDB() *airlearning.Database {
 	db := airlearning.NewDatabase()
 	airlearning.PopulateSurrogate(db)
@@ -144,9 +159,9 @@ func TestFeaturesNormalized(t *testing.T) {
 
 func TestEvaluatorScoresDesign(t *testing.T) {
 	s := DefaultSpace()
-	ev := NewEvaluator(surrogateDB(), airlearning.DenseObstacle, power.Default(), WithTemplate(s.Template))
+	ev := newEvaluator(surrogateDB())
 	d := s.Sample(5, 1)[3]
-	e, err := ev.Evaluate(d)
+	e, err := evalOne(ev, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +182,8 @@ func TestEvaluatorScoresDesign(t *testing.T) {
 
 func TestEvaluatorMissingDBEntryZeroSuccess(t *testing.T) {
 	s := DefaultSpace()
-	ev := NewEvaluator(airlearning.NewDatabase(), airlearning.DenseObstacle, power.Default(), WithTemplate(s.Template))
-	e, err := ev.Evaluate(s.Sample(3, 1)[2])
+	ev := newEvaluator(airlearning.NewDatabase())
+	e, err := evalOne(ev, s.Sample(3, 1)[2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,9 +296,9 @@ func TestObjectivesRefBoundsHoldOnSamples(t *testing.T) {
 	// the BO reference point in Run assumes power < 20 W and runtime < 1 s
 	// across the space; spot-check a sample
 	s := DefaultSpace()
-	ev := NewEvaluator(surrogateDB(), airlearning.DenseObstacle, power.Default(), WithTemplate(s.Template))
+	ev := newEvaluator(surrogateDB())
 	for _, d := range s.Sample(40, 9) {
-		e, err := ev.Evaluate(d)
+		e, err := evalOne(ev, d)
 		if err != nil {
 			t.Fatal(err)
 		}

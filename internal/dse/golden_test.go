@@ -87,10 +87,10 @@ func TestGoldenEvaluated(t *testing.T) {
 	db := airlearning.NewDatabase()
 	airlearning.PopulateSurrogate(db)
 	space := DefaultSpace()
-	ev := NewEvaluator(db, airlearning.DenseObstacle, power.Default(), WithTemplate(space.Template))
+	ev := Request{Space: space, DB: db, Scenario: airlearning.DenseObstacle, Power: power.Default()}.NewEvaluator()
 	for _, g := range goldenEvaluated {
 		d := g.design()
-		e, err := ev.Evaluate(d)
+		e, err := evalOne(ev, d)
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
@@ -120,9 +120,9 @@ func TestGoldenSoCPowerHelper(t *testing.T) {
 	db := airlearning.NewDatabase()
 	airlearning.PopulateSurrogate(db)
 	space := DefaultSpace()
-	ev := NewEvaluator(db, airlearning.DenseObstacle, power.Default(), WithTemplate(space.Template))
+	ev := Request{Space: space, DB: db, Scenario: airlearning.DenseObstacle, Power: power.Default()}.NewEvaluator()
 	d := goldenDesign(7, 48, 64, 64, 256, 256, 256)
-	e, err := ev.Evaluate(d)
+	e, err := evalOne(ev, d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,15 +88,19 @@ func (s Space) Enumerate(limit int64) ([]DesignPoint, error) {
 
 // executeAlternate serves Execute for the non-Bayesian optimizers. The
 // evolutionary searchers evaluate sequentially (each step depends on the
-// previous population), but they share the memoized evaluator, and the
+// previous population) and fail fast: moea has no notion of a failed
+// evaluation, so they refuse a failure budget rather than ignore it. The
 // random searcher — whose sample set is fixed up front — fans out over the
-// worker pool.
+// worker pool and settles errors under the run's policy like Execute.
 func executeAlternate(ctx context.Context, req Request) (*Result, error) {
 	if req.Space.HasVehicleAxes() {
 		return nil, fmt.Errorf("dse: vehicle axes require the Bayesian optimizer")
 	}
+	if req.FailureBudget > 0 && req.Optimizer != OptRandom {
+		return nil, fmt.Errorf("dse: the %v optimizer cannot honour a failure budget (use bayesian or random)", req.Optimizer)
+	}
 	space, cfg, scen := req.Space, req.Config, req.Scenario
-	ev := req.evaluator()
+	ev := req.NewEvaluator()
 	budget := cfg.BO.InitSamples + cfg.BO.Iterations
 
 	var evalErr error
@@ -108,7 +112,7 @@ func executeAlternate(ctx context.Context, req Request) (*Result, error) {
 			if err != nil {
 				panic(err) // genome generated from Dims: impossible
 			}
-			e, err := ev.Evaluate(d)
+			e, err := ev.evaluate(ctx, d, 0)
 			if err != nil && evalErr == nil {
 				evalErr = err
 			}
@@ -150,11 +154,10 @@ func executeAlternate(ctx context.Context, req Request) (*Result, error) {
 		}
 		inds = res.Evaluations
 	case OptRandom:
-		es, err := ev.EvaluateAll(ctx, space.Sample(budget, cfg.Seed))
-		if err != nil {
+		res := &Result{Scenario: scen}
+		if _, err := req.settle(ctx, ev, res, space.Sample(budget, cfg.Seed), ""); err != nil {
 			return nil, err
 		}
-		res := &Result{Scenario: scen, Evaluated: es}
 		return finishResult(ctx, res, req, ev)
 	default:
 		return nil, fmt.Errorf("dse: unknown optimizer %v", req.Optimizer)

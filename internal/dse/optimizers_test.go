@@ -157,10 +157,10 @@ func TestExhaustiveConfirmsBOFindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := NewEvaluator(surrogateDB(), airlearning.DenseObstacle, power.Default(), WithTemplate(s.Template))
+	ev := newEvaluator(surrogateDB())
 	bestFPS := 0.0
 	for _, d := range pts {
-		e, err := ev.Evaluate(d)
+		e, err := evalOne(ev, d)
 		if err != nil {
 			t.Fatal(err)
 		}

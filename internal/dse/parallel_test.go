@@ -101,14 +101,13 @@ func TestRequestValidate(t *testing.T) {
 
 func TestEvaluatorMemoizesRevisits(t *testing.T) {
 	s := DefaultSpace()
-	ev := NewEvaluator(surrogateDB(), airlearning.DenseObstacle, power.Default(),
-		WithTemplate(s.Template))
+	ev := newEvaluator(surrogateDB())
 	d := s.Sample(3, 1)[2]
-	first, err := ev.Evaluate(d)
+	first, err := evalOne(ev, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := ev.Evaluate(d)
+	second, err := evalOne(ev, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,17 +122,16 @@ func TestEvaluatorMemoizesRevisits(t *testing.T) {
 
 func TestEvaluateAllPreservesOrderAndDedupes(t *testing.T) {
 	s := DefaultSpace()
-	ev := NewEvaluator(surrogateDB(), airlearning.DenseObstacle, power.Default(),
-		WithTemplate(s.Template), WithWorkers(4))
+	ev := Request{Space: s, DB: surrogateDB(), Scenario: airlearning.DenseObstacle, Power: power.Default(), Workers: 4}.NewEvaluator()
 	base := s.Sample(8, 5)
 	// duplicate every design so half the evaluations can come from cache
 	ds := append(append([]DesignPoint{}, base...), base...)
-	es, err := ev.EvaluateAll(context.Background(), ds)
-	if err != nil {
+	es, errs := make([]Evaluated, len(ds)), make([]error, len(ds))
+	if err := ev.Evaluate(context.Background(), ds, 0, es, errs); err != nil {
 		t.Fatal(err)
 	}
-	if len(es) != len(ds) {
-		t.Fatalf("len = %d, want %d", len(es), len(ds))
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
 	}
 	for i := range base {
 		if es[i].Design != ds[i] {
@@ -145,39 +143,12 @@ func TestEvaluateAllPreservesOrderAndDedupes(t *testing.T) {
 	}
 }
 
-func TestWithCacheBoundsAndDisables(t *testing.T) {
-	s := DefaultSpace()
-	ds := s.Sample(6, 2)
-
-	bounded := NewEvaluator(surrogateDB(), airlearning.DenseObstacle, power.Default(),
-		WithTemplate(s.Template), WithCache(2))
-	for _, d := range ds {
-		if _, err := bounded.Evaluate(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if bounded.store.Len() > 2 {
-		t.Fatalf("cache grew to %d entries with cap 2", bounded.store.Len())
-	}
-
-	disabled := NewEvaluator(surrogateDB(), airlearning.DenseObstacle, power.Default(),
-		WithTemplate(s.Template), WithCache(-1))
-	for i := 0; i < 2; i++ {
-		if _, err := disabled.Evaluate(ds[0]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if hits, _ := disabled.CacheStats(); hits != 0 {
-		t.Fatalf("disabled cache recorded %d hits", hits)
-	}
-}
-
 func TestDefaultWorkersResolved(t *testing.T) {
-	ev := NewEvaluator(surrogateDB(), airlearning.DenseObstacle, power.Default())
+	ev := newEvaluator(surrogateDB())
 	if ev.Workers() < 1 {
 		t.Fatalf("Workers() = %d", ev.Workers())
 	}
-	ev = NewEvaluator(surrogateDB(), airlearning.DenseObstacle, power.Default(), WithWorkers(3))
+	ev = Request{Space: DefaultSpace(), DB: surrogateDB(), Workers: 3}.NewEvaluator()
 	if ev.Workers() != 3 {
 		t.Fatalf("Workers() = %d, want 3", ev.Workers())
 	}

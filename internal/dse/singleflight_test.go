@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -8,7 +9,6 @@ import (
 	"autopilot/internal/airlearning"
 	"autopilot/internal/hw"
 	"autopilot/internal/policy"
-	"autopilot/internal/power"
 )
 
 // blockingBackend counts Estimate calls, announces the first call on
@@ -41,10 +41,10 @@ func TestEvaluateSingleflight(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	ev := NewEvaluator(db, airlearning.DenseObstacle, power.Default(),
-		WithBackend("stub", func(DesignPoint) hw.Backend {
-			return blockingBackend{calls: &calls, started: started, release: release, once: &once}
-		}))
+	ev := newEvaluator(db)
+	ev.backendID, ev.backend = "stub", func(DesignPoint) hw.Backend {
+		return blockingBackend{calls: &calls, started: started, release: release, once: &once}
+	}
 
 	d := DesignPoint{Hyper: policy.Hyper{Layers: 3, Filters: 32}, HW: goldenDesign(3, 32, 16, 16, 64, 64, 64).HW}
 	const n = 16
@@ -55,7 +55,7 @@ func TestEvaluateSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = ev.Evaluate(d)
+			results[i], errs[i] = evalOne(ev, d)
 		}(i)
 	}
 	// Wait until the leader is inside the backend, give the rest a chance to
@@ -87,7 +87,7 @@ func TestEvaluateSingleflight(t *testing.T) {
 	}
 
 	// A later call is a plain cache hit and must not re-simulate.
-	if _, err := ev.Evaluate(d); err != nil {
+	if _, err := evalOne(ev, d); err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != 1 {
@@ -96,21 +96,24 @@ func TestEvaluateSingleflight(t *testing.T) {
 }
 
 // BenchmarkEvaluateCached measures contended cache-hit throughput: every
-// goroutine hammers the same design, so this is the hot path EvaluateAll
-// takes once the BO loop starts revisiting known points.
+// goroutine hammers the same design through the one-design batch call — the
+// path every model-guided BO step takes — which must allocate nothing.
 func BenchmarkEvaluateCached(b *testing.B) {
 	db := airlearning.NewDatabase()
 	airlearning.PopulateSurrogate(db)
-	ev := NewEvaluator(db, airlearning.DenseObstacle, power.Default())
+	ev := newEvaluator(db)
 	d := DesignPoint{Hyper: policy.Hyper{Layers: 3, Filters: 32}, HW: goldenDesign(3, 32, 16, 16, 64, 64, 64).HW}
-	if _, err := ev.Evaluate(d); err != nil {
+	if _, err := evalOne(ev, d); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
+		ctx, ds := context.Background(), []DesignPoint{d}
+		es, errs := make([]Evaluated, 1), make([]error, 1)
 		for pb.Next() {
-			if _, err := ev.Evaluate(d); err != nil {
-				b.Fatal(err)
+			if err := ev.Evaluate(ctx, ds, 0, es, errs); err != nil || errs[0] != nil {
+				b.Fatal(err, errs[0])
 			}
 		}
 	})

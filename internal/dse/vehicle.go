@@ -60,13 +60,6 @@ func DefaultVehicleParams() VehicleParams {
 	}
 }
 
-// WithVehicle sets the mission/thermal context used to score designs that
-// carry vehicle axes. The default is DefaultVehicleParams(); designs without
-// a vehicle reference never consult it.
-func WithVehicle(vp VehicleParams) Option {
-	return func(ev *Evaluator) { ev.vp = vp }
-}
-
 // Skip records one design whose loadout failed the catalog feasibility check.
 // Skips are typed answers about the design space — "this loadout cannot fly
 // this accelerator" — not faults: they appear in Result.Skips, never in
@@ -107,16 +100,16 @@ func (ev *Evaluator) vehicleFinish(d DesignPoint, e Evaluated) (Evaluated, error
 	if err != nil {
 		return Evaluated{}, fmt.Errorf("dse: %v: %w", d, err)
 	}
-	payloadG := ev.vp.Thermal.ComputeWeightGrams(e.AccelPowerW)
+	payloadG := ev.req.Vehicle.Thermal.ComputeWeightGrams(e.AccelPowerW)
 	if err := lo.FeasibleWeight(payloadG); err != nil {
 		return Evaluated{}, fmt.Errorf("dse: %v: %w", d, err)
 	}
 	socW := power.SoCWithSensor(e.Breakdown, lo.Sensor.PowerW)
-	model := f1.ForScenario(ev.scen)
+	model := f1.ForScenario(ev.req.Scenario)
 	accel := lo.MaxAccelMS2(payloadG)
 	actionHz, _ := model.EffectiveThroughput(e.FPS, lo.Sensor.MaxFPS(), accel)
 	vSafe := model.SafeVelocity(actionHz, accel)
-	prof, err := mission.EvaluateLoadout(lo, ev.vp.Params, ev.vp.Mission, payloadG, socW, vSafe)
+	prof, err := mission.EvaluateLoadout(lo, ev.req.Vehicle.Params, ev.req.Vehicle.Mission, payloadG, socW, vSafe)
 	if err != nil {
 		return Evaluated{}, fmt.Errorf("dse: %v: %w", d, err)
 	}

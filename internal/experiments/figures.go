@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"autopilot/internal/airlearning"
@@ -52,10 +53,13 @@ func (s *Suite) Fig3b() (Table, error) {
 	space := dse.DefaultSpace()
 	db := airlearning.NewDatabase()
 	airlearning.PopulateSurrogate(db)
-	ev := dse.NewEvaluator(db, airlearning.DenseObstacle, power.Default(), dse.WithTemplate(space.Template))
-	h := policy.Hyper{Layers: 7, Filters: 48}
-	evs, err := ev.EvaluateAll(context.Background(), space.ProbeDesigns(h))
-	if err != nil {
+	ev := dse.Request{Space: space, DB: db, Scenario: airlearning.DenseObstacle, Power: power.Default()}.NewEvaluator()
+	ds := space.ProbeDesigns(policy.Hyper{Layers: 7, Filters: 48})
+	evs, errs := make([]dse.Evaluated, len(ds)), make([]error, len(ds))
+	if err := ev.Evaluate(context.Background(), ds, 0, evs, errs); err != nil {
+		return Table{}, err
+	}
+	if err := errors.Join(errs...); err != nil {
 		return Table{}, err
 	}
 	objs := make([][]float64, len(evs))

@@ -254,10 +254,10 @@ func (w *gridWorker) leaseLoop(ctx context.Context) error {
 	}
 }
 
-// runJob evaluates one leased job and delivers its outcome. The attempt index
-// feeds the evaluator's chaos keys (via EvaluateAttempt), so a re-issued
-// lease draws fresh injected faults while a clean evaluation stays bitwise
-// identical to the local engine's.
+// runJob evaluates one leased job and delivers its outcome. The lease
+// attempt offsets the evaluator's attempt indices and with them its chaos
+// keys, so a re-issued lease draws fresh injected faults while a clean
+// evaluation stays bitwise identical to the local engine's.
 func (w *gridWorker) runJob(ctx context.Context, jb Job) {
 	w.mu.Lock()
 	w.held[jb.ID] = true
@@ -276,8 +276,11 @@ func (w *gridWorker) runJob(ctx context.Context, jb Job) {
 	sp := w.buf.Start(fmt.Sprintf("eval job %d", jb.ID), "grid", jb.ID, jb.Parent).
 		Arg("worker", w.cfg.ID).
 		Arg("attempt", fmt.Sprintf("%d", jb.Attempt))
-	e, err := w.ev.EvaluateAttempt(ctx, jb.Design, jb.Attempt)
-	if ctx.Err() != nil {
+	var es [1]dse.Evaluated
+	var errs [1]error
+	cancelled := w.ev.Evaluate(ctx, []dse.DesignPoint{jb.Design}, jb.Attempt, es[:], errs[:])
+	e, err := es[0], errs[0]
+	if cancelled != nil || ctx.Err() != nil {
 		// A cancelled evaluation is this worker dying, not an answer; leave
 		// the lease to expire and be re-issued elsewhere.
 		return
