@@ -546,8 +546,14 @@ func (ev *Evaluator) evaluate(ctx context.Context, d DesignPoint, base int) (Eva
 				// the loadout, not a transient fault: never retry it.
 				retry = retry.NonRetryable(isInfeasible)
 			}
-			err = fault.Retry(ctx, retry, func(_ context.Context, attempt int) (aerr error) {
+			err = fault.Retry(ctx, retry, func(actx context.Context, attempt int) (aerr error) {
 				e, aerr = ev.estimate(d, base+attempt)
+				if aerr == nil && retry.Timeout > 0 {
+					// A backend cannot be interrupted mid-estimate, so an
+					// attempt that outlived its budget fails on return:
+					// Retry types it as a timeout and retries or settles it.
+					aerr = actx.Err()
+				}
 				return aerr
 			})
 		}

@@ -161,6 +161,96 @@ func (g *GP) PredictInto(q []float64, means, buf []float64) (variance float64) {
 	return variance
 }
 
+// Block is how many queries PredictBlock serves at once. The block kernels
+// unroll it by hand, four chains each.
+const Block = 4
+
+// PredictBlock is PredictInto for Block queries at once: means[t] receives
+// query qs[t]'s per-output means and the returned array holds the Block
+// latent variances. buf is caller-owned scratch of at least one entry per
+// training point. Every training input, alpha entry and Cholesky row is
+// loaded once and feeds Block independent accumulation chains, one per
+// query, each summing in PredictInto's order — so every mean and variance is
+// bitwise equal to a PredictInto call on that query alone.
+func (g *GP) PredictBlock(qs [Block][]float64, means [Block][]float64, buf [][Block]float64) (variances [Block]float64) {
+	for _, m := range means {
+		if len(m) != len(g.alpha) {
+			panic(fmt.Sprintf("gp: %d means for %d outputs", len(m), len(g.alpha)))
+		}
+	}
+	ks := buf[:len(g.x)] // ks[i][t] = k(x_i, q_t)
+	if se, ok := g.kernel.(SE); ok {
+		se.evalBlock(g.x, qs, ks)
+	} else {
+		for i, xi := range g.x {
+			for t, q := range qs {
+				ks[i][t] = g.kernel.Eval(xi, q)
+			}
+		}
+	}
+	for j, alpha := range g.alpha {
+		var m0, m1, m2, m3 float64
+		for i, a := range alpha[:len(ks)] {
+			k := &ks[i]
+			m0 += k[0] * a
+			m1 += k[1] * a
+			m2 += k[2] * a
+			m3 += k[3] * a
+		}
+		means[0][j], means[1][j], means[2][j], means[3][j] = m0, m1, m2, m3
+	}
+	forwardSolveBlock(g.l, ks)
+	for t, q := range qs {
+		variances[t] = g.kernel.Eval(q, q)
+	}
+	v0, v1, v2, v3 := variances[0], variances[1], variances[2], variances[3]
+	for i := range ks {
+		v := &ks[i]
+		v0 -= v[0] * v[0]
+		v1 -= v[1] * v[1]
+		v2 -= v[2] * v[2]
+		v3 -= v[3] * v[3]
+	}
+	variances = [Block]float64{v0, v1, v2, v3}
+	for t, v := range variances {
+		if v < 0 {
+			variances[t] = 0
+		}
+	}
+	return variances
+}
+
+// evalBlock writes ks[i][t] = k.Eval(xs[i], qs[t]), each value computed in
+// Eval's order, loading every training input once for all Block queries.
+func (k SE) evalBlock(xs [][]float64, qs [Block][]float64, ks [][Block]float64) {
+	d := len(xs[0])
+	for _, q := range qs {
+		if len(q) != d {
+			panic(fmt.Sprintf("gp: kernel input dims %d vs %d", d, len(q)))
+		}
+	}
+	q0, q1, q2, q3 := qs[0][:d], qs[1][:d], qs[2][:d], qs[3][:d]
+	for i, x := range xs[:len(ks)] {
+		var s0, s1, s2, s3 float64
+		for f, xf := range x[:d] {
+			d0 := (xf - q0[f]) / k.LengthScale
+			d1 := (xf - q1[f]) / k.LengthScale
+			d2 := (xf - q2[f]) / k.LengthScale
+			d3 := (xf - q3[f]) / k.LengthScale
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+		ks[i] = [Block]float64{
+			k.Variance * math.Exp(-0.5*s0),
+			k.Variance * math.Exp(-0.5*s1),
+			k.Variance * math.Exp(-0.5*s2),
+			k.Variance * math.Exp(-0.5*s3),
+		}
+	}
+}
+
 // LogMarginalLikelihood returns a single-output GP's log marginal
 // likelihood log p(y | X, θ) = -½ yᵀα - Σ log Lᵢᵢ - (n/2) log 2π, used to
 // select kernel hyper-parameters.
@@ -249,6 +339,25 @@ func forwardSolve(l [][]float64, b []float64) {
 			s -= row[j] * y
 		}
 		b[i] = s / row[i]
+	}
+}
+
+// forwardSolveBlock is forwardSolve for Block right-hand sides at once
+// (b[i][t] is entry i of system t): each L row is loaded once and drives
+// Block independent substitution chains, each in forwardSolve's order.
+func forwardSolveBlock(l [][]float64, b [][Block]float64) {
+	for i := range b {
+		done, row := b[:i], l[i][:i+1]
+		s0, s1, s2, s3 := b[i][0], b[i][1], b[i][2], b[i][3]
+		for j, r := range row[:len(done)] {
+			p := &done[j]
+			s0 -= r * p[0]
+			s1 -= r * p[1]
+			s2 -= r * p[2]
+			s3 -= r * p[3]
+		}
+		d := row[i]
+		b[i] = [Block]float64{s0 / d, s1 / d, s2 / d, s3 / d}
 	}
 }
 

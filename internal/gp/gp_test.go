@@ -333,3 +333,87 @@ func TestFitMultiErrors(t *testing.T) {
 		t.Fatal("expected error for a non-finite second output")
 	}
 }
+
+// dented is SE with its diagonal lowered by half the variance, behind a
+// non-SE type so PredictBlock takes its generic per-pair kernel path. Far
+// apart training points keep the covariance positive definite, but a query
+// near a training point gets a negative raw variance (below -1 right next
+// to it, between -1 and 0 a little further off), which both predictors must
+// clamp to 0.
+type dented struct{ SE }
+
+func (k dented) Eval(a, b []float64) float64 {
+	v := k.SE.Eval(a, b)
+	for i := range a {
+		if a[i] != b[i] {
+			return v
+		}
+	}
+	return v - k.Variance/2
+}
+
+// TestPredictBlockMatchesPredictIntoBitwise checks every mean and variance
+// PredictBlock returns against PredictInto on the same query, bit for bit:
+// with 1, 4 and 7 training points, one and three outputs, the SE fast path
+// and the generic kernel path, and queries whose variance is clamped at 0.
+func TestPredictBlockMatchesPredictIntoBitwise(t *testing.T) {
+	g := tensor.NewRNG(11)
+	clamped := 0
+	for _, n := range []int{1, 4, 7} {
+		for _, m := range []int{1, 3} {
+			for _, kernel := range []Kernel{SE{Variance: 1.3, LengthScale: 2.5}, dented{SE{Variance: 1, LengthScale: 0.05}}} {
+				x := make([][]float64, n)
+				ys := make([][]float64, m)
+				for i := range x {
+					x[i] = []float64{float64(i), g.Float64(), g.Float64()}
+				}
+				for j := range ys {
+					ys[j] = make([]float64, n)
+					for i := range ys[j] {
+						ys[j][i] = g.Float64()*2 - 1
+					}
+				}
+				gp, err := FitMulti(x, ys, kernel, 1e-9)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Queries: every training point, two points near each, then
+				// random points up to whole blocks.
+				var qs [][]float64
+				qs = append(qs, x...)
+				for _, xi := range x {
+					qs = append(qs, []float64{xi[0] + 1e-3, xi[1], xi[2]}, []float64{xi[0], xi[1] + 0.05, xi[2]})
+				}
+				for len(qs)%Block != 0 || len(qs) < 4*Block {
+					qs = append(qs, []float64{g.Float64(), g.Float64(), g.Float64()})
+				}
+				var means [Block][]float64
+				for t := range means {
+					means[t] = make([]float64, m)
+				}
+				want, buf := make([]float64, m), make([]float64, n)
+				block := make([][Block]float64, n)
+				for b := 0; b < len(qs); b += Block {
+					vs := gp.PredictBlock([Block][]float64(qs[b:b+Block]), means, block)
+					for q := 0; q < Block; q++ {
+						wv := gp.PredictInto(qs[b+q], want, buf)
+						if wv == 0 {
+							clamped++
+						}
+						if math.Float64bits(vs[q]) != math.Float64bits(wv) {
+							t.Fatalf("n=%d m=%d %T query %d: variance %x, PredictInto %x", n, m, kernel, b+q, vs[q], wv)
+						}
+						for j := range want {
+							if math.Float64bits(means[q][j]) != math.Float64bits(want[j]) {
+								t.Fatalf("n=%d m=%d %T query %d output %d: mean %x, PredictInto %x", n, m, kernel, b+q, j, means[q][j], want[j])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if clamped == 0 {
+		t.Fatal("no query reached the variance clamp")
+	}
+}
